@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,14 +113,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, word: str):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected a {word} integer, got {n}")
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
+
+
+def _positive_float(text: str) -> float:
     try:
-        n = int(text)
+        x = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return x
 
 
 def _int_list(text: str) -> list[int]:
@@ -133,20 +150,16 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-4,
+    p.add_argument("--epsilon", type=_positive_float, default=1e-4,
                    help="target residual (default 1e-4)")
     p.add_argument("--max-iters", type=_positive_int, default=100000,
                    help="iteration budget (default 100000)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the step-size estimator (default 0)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_positive_float, default=None,
                    help="step size override (default: 1 / operator norm)")
-    p.add_argument("--trace-every", type=int, default=100,
+    p.add_argument("--trace-every", type=_nonnegative_int, default=100,
                    help="record a trace row every N iterations (default 100)")
-    p.add_argument("--dq-updated-y", action=argparse.BooleanOptionalAction, default=True,
-                   help="use the updated y in the q step (default on)")
-    p.add_argument("--reclip-y", action=argparse.BooleanOptionalAction, default=False,
-                   help="re-clip y after the correction step (default off)")
     p.add_argument("--timing", action="store_true",
                    help="write real elapsed_ms values (costs reproducibility)")
 
@@ -188,9 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated square sizes, e.g. 100,200")
     be.add_argument("--seeds", type=_int_list, required=True,
                     help="comma-separated seeds, e.g. 0,1,2")
-    be.add_argument("--epsilon", type=float, default=1e-4)
+    be.add_argument("--epsilon", type=_positive_float, default=1e-4)
     be.add_argument("--max-iters", type=_positive_int, default=100000)
-    be.add_argument("--trace-every", type=int, default=100)
+    be.add_argument("--trace-every", type=_nonnegative_int, default=100)
     be.add_argument("--timing", action="store_true",
                     help="write real elapsed_ms values (costs reproducibility)")
     be.add_argument("--out-dir", default="bench", help="directory for traces (default bench)")
@@ -235,9 +248,7 @@ def _config_from_args(args) -> SolverConfig:
         max_iter=args.max_iters,
         lambda_override=args.lam,
         trace_every=args.trace_every,
-        seed=args.seed,
-        dq_uses_updated_y=args.dq_updated_y,
-        reclip_y_after_correction=args.reclip_y)
+        seed=args.seed)
 
 
 def _manifest(args, game_desc: dict) -> dict:
@@ -249,8 +260,6 @@ def _manifest(args, game_desc: dict) -> dict:
             "seed": args.seed,
             "lambda": args.lam,
             "trace_every": args.trace_every,
-            "dq_updated_y": args.dq_updated_y,
-            "reclip_y": args.reclip_y,
             "timing": args.timing,
             "report": args.report,
             "trace": args.trace,

@@ -1,10 +1,13 @@
 """First-order primal-dual solver for sequence-form zero-sum games.
 
-Each iteration takes a proximal step in the (y, p) block, an ascent
-step in the (x, q) block against the just-updated y, and then corrects
-(y, p) by the observed change in (x, q). Every update is a handful of
-sparse products, entrywise arithmetic, and clipping, so iterations are
-cheap and the cost is dominated by the payoff matrix products.
+The method iterates on one stacked operator K = [[A, -E1^T], [E2, 0]],
+which maps u = (y, p) into the space of w = (x, q), and on one state
+vector z = (u, w). Each iteration takes a proximal step in u against
+g = K^T w, an ascent step in w against K u at the updated u, and then
+corrects u by K^T of the observed change in w. That correction product
+also moves g to the new w, so g is carried from step to step and an
+iteration costs exactly two sparse products, one with K and one with
+K^T, plus entrywise arithmetic and clipping y and x at zero.
 
 The accumulated update vector v telescopes to the distance travelled
 from the start, and ||v|| / (k * lambda) is the residual used as the
@@ -16,15 +19,17 @@ estimated by power iteration at initialization.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InitializationError
 from .games import expected_value
-from .sparse import build_K, spectral_norm
+from .sparse import SparseMatrix, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
                        feasibility_residuals, normalize_to_polytope)
 
@@ -33,11 +38,11 @@ from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
 class SolverConfig:
     """Solve parameters; the defaults are sensible for small games.
 
-    dq_uses_updated_y switches the dual step for q between reading the
-    freshly updated y (default) and the pre-step y; the default is the
-    variant whose convergence profile matches the reference runs.
-    reclip_y_after_correction optionally re-applies the nonnegativity
-    clip after the correction step.
+    epsilon is the target of the certificate ||v|| / (k * lambda).
+    lambda_override replaces the step size 1 / ||K||; seed fixes the
+    start vector of the norm estimate, which runs either way because
+    the report carries ||K||. trace_every > 0 records a TracePoint every
+    that many iterations.
     """
 
     epsilon: float = 1e-4
@@ -45,40 +50,17 @@ class SolverConfig:
     lambda_override: Optional[float] = None
     trace_every: int = 0
     seed: int = 0
-    dq_uses_updated_y: bool = True
-    reclip_y_after_correction: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.lambda_override is not None and self.lambda_override <= 0:
-            raise ValueError("lambda_override must be positive")
+        if self.lambda_override is not None and not (
+                math.isfinite(self.lambda_override) and self.lambda_override > 0):
+            raise ValueError("lambda_override must be finite and positive")
         if self.trace_every < 0:
             raise ValueError("trace_every must be nonnegative")
-
-
-@dataclass
-class SolverState:
-    """Mutable iteration state; vectors are ordered (y, p, x, q)."""
-
-    y: np.ndarray
-    p: np.ndarray
-    x: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    k: int
-    lam: float
-    norm_K: float
-    sum_y: np.ndarray
-    sum_p: np.ndarray
-    sum_x: np.ndarray
-    sum_q: np.ndarray
-    z0: np.ndarray
-
-    def iterate(self) -> np.ndarray:
-        return np.concatenate([self.y, self.p, self.x, self.q])
 
 
 class Quadruplet(NamedTuple):
@@ -86,6 +68,43 @@ class Quadruplet(NamedTuple):
     p: np.ndarray
     x: np.ndarray
     q: np.ndarray
+
+
+@dataclass
+class SolverState:
+    """Mutable iteration state on the stacked operator K.
+
+    Every stacked vector is ordered z = (u, w) = (y, p, x, q), and
+    bounds holds the offsets where p, x and q start. z is updated in
+    place; y, p, x and q are views into it. g = K^T w is carried across
+    steps. c = (0, e1, 0, e2) is the constant part of the update. v
+    accumulates every change of z, z_sum every iterate, and z0 is the
+    start.
+    """
+
+    K: SparseMatrix
+    z: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
+    z_sum: np.ndarray
+    z0: np.ndarray
+    bounds: tuple[int, int, int]
+    k: int
+    lam: float
+    norm_K: float
+
+    def blocks(self, vec: np.ndarray) -> Quadruplet:
+        """Split a stacked vector into (y, p, x, q) views."""
+        return Quadruplet(*np.split(vec, self.bounds))
+
+    y = property(lambda self: self.blocks(self.z).y)
+    p = property(lambda self: self.blocks(self.z).p)
+    x = property(lambda self: self.blocks(self.z).x)
+    q = property(lambda self: self.blocks(self.z).q)
+
+    def iterate(self) -> np.ndarray:
+        return self.z.copy()
 
 
 @dataclass(frozen=True)
@@ -151,48 +170,40 @@ def init(game: SequenceFormGame, start=None, config: Optional[SolverConfig] = No
             if arr.shape != (n,):
                 raise DimensionError(f"start {name} must have length {n}, got shape {arr.shape}")
             parts.append(arr)
-    y, p, x, q = parts
     z0 = np.concatenate(parts)
+    c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
     return SolverState(
-        y=y, p=p, x=x, q=q,
-        v=np.zeros(z0.size), k=0, lam=lam, norm_K=est.value,
-        sum_y=np.zeros(game.n2), sum_p=np.zeros(game.l1),
-        sum_x=np.zeros(game.n1), sum_q=np.zeros(game.l2),
-        z0=z0)
+        K=K, z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), c=c,
+        v=np.zeros(z0.size), z_sum=np.zeros(z0.size), z0=z0,
+        bounds=tuple(accumulate(shapes[:3])),
+        k=0, lam=lam, norm_K=est.value)
 
 
-def step(state: SolverState, game: SequenceFormGame,
-         config: Optional[SolverConfig] = None) -> SolverState:
-    """Run one iteration in place and return the state."""
-    if config is None:
-        config = SolverConfig()
-    A, E1, E2 = game.A, game.E1, game.E2
-    lam = state.lam
-    y0, p0, x0, q0 = state.y, state.p, state.x, state.q
+def step(state: SolverState, game: SequenceFormGame) -> SolverState:
+    """Run one iteration in place and return the state.
 
+    With u = (y, p), w = (x, q) and the carried g = K^T w:
+    u1 = u - lam (g + (0, e1)) with y clipped at zero,
+    w1 = w + lam (K u1 - (0, e2)) with x clipped at zero, and
+    u2 = u1 - lam K^T (w1 - w), which also moves g to K^T w1.
+    """
+    K, lam, z, c = state.K, state.lam, state.z, state.c
+    m = K.cols
+    u0, w0 = z[:m], z[m:]
     # overflow surfaces as the typed divergence error below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        y1 = np.maximum(y0 - lam * (A.transpose_matvec(x0) + E2.transpose_matvec(q0)), 0.0)
-        p1 = p0 - lam * (game.e1 - E1.matvec(x0))
-        x1 = np.maximum(x0 + lam * (A.matvec(y1) - E1.transpose_matvec(p1)), 0.0)
-        dx = x1 - x0
-        y_for_dq = y1 if config.dq_uses_updated_y else y0
-        dq = lam * (E2.matvec(y_for_dq) - game.e2)
-        q1 = q0 + dq
-        y2 = y1 - lam * (A.transpose_matvec(dx) + E2.transpose_matvec(dq))
-        if config.reclip_y_after_correction:
-            y2 = np.maximum(y2, 0.0)
-        p2 = p1 + lam * E1.matvec(dx)
-
-        state.v += np.concatenate([y2 - y0, p2 - p0, dx, dq])
-        state.y, state.p, state.x, state.q = y2, p2, x1, q1
+        u1 = u0 - lam * (state.g + c[:m])
+        np.maximum(u1[:game.n2], 0.0, out=u1[:game.n2])
+        w1 = w0 + lam * (K.matvec(u1) - c[m:])
+        np.maximum(w1[:game.n1], 0.0, out=w1[:game.n1])
+        dg = K.transpose_matvec(w1 - w0)
+        state.g += dg
+        z1 = np.concatenate([u1 - lam * dg, w1])
+        state.v += z1 - z
+        z[:] = z1
+        state.z_sum += z
         state.k += 1
-        state.sum_y += y2
-        state.sum_p += p2
-        state.sum_x += x1
-        state.sum_q += q1
-    if not (np.all(np.isfinite(y2)) and np.all(np.isfinite(p2))
-            and np.all(np.isfinite(x1)) and np.all(np.isfinite(q1))):
+    if not np.all(np.isfinite(z)):
         raise DivergenceError(
             f"non-finite value in iterate at iteration {state.k}", iteration=state.k)
     return state
@@ -209,17 +220,25 @@ def ergodic_average(state: SolverState) -> Quadruplet:
     """Uniform averages of the iterates seen so far."""
     if state.k < 1:
         raise ValueError("ergodic average is undefined before the first iteration")
-    return Quadruplet(state.sum_y / state.k, state.sum_p / state.k,
-                      state.sum_x / state.k, state.sum_q / state.k)
+    return state.blocks(state.z_sum / state.k)
 
 
-def _trace_point(state, game, t0) -> TracePoint:
+def _evaluate(state: SolverState, game: SequenceFormGame):
+    """Evaluate the state the way a trace point and the report show it.
+
+    Returns (x_plan, y_plan, value, gap, feas): the ergodic averages
+    pushed onto the polytopes, their value and duality gap, and the
+    feasibility residuals of the last iterate.
+    """
     avg = ergodic_average(state)
     x_plan = normalize_to_polytope(game.index1, avg.x).values
     y_plan = normalize_to_polytope(game.index2, avg.y).values
-    gap = duality_gap(game, x_plan, y_plan)
-    value = expected_value(game, x_plan, y_plan)
-    res = feasibility_residuals(game, state.x, state.y)
+    return (x_plan, y_plan, expected_value(game, x_plan, y_plan),
+            duality_gap(game, x_plan, y_plan), feasibility_residuals(game, state.x, state.y))
+
+
+def _trace_point(state, game, t0) -> TracePoint:
+    _, _, value, gap, res = _evaluate(state, game)
     return TracePoint(
         iter=state.k, residual=residual(state), duality_gap=gap, value=value,
         p0=float(state.p[0]), neg_q0=float(-state.q[0]),
@@ -244,30 +263,27 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     while state.k == 0 or residual(state) >= config.epsilon:
         if state.k >= config.max_iter:
             break
-        step(state, game, config)
+        step(state, game)
         if config.trace_every and state.k % config.trace_every == 0:
             trace.append(_trace_point(state, game, t0))
     if config.trace_every and (not trace or trace[-1].iter != state.k):
         trace.append(_trace_point(state, game, t0))
 
-    avg = ergodic_average(state)
-    x_plan = normalize_to_polytope(game.index1, avg.x).values
-    y_plan = normalize_to_polytope(game.index2, avg.y).values
+    x_plan, y_plan, value, gap, feas = _evaluate(state, game)
     final_res = residual(state)
-    report = SolveReport(
+    return SolveReport(
         converged=final_res < config.epsilon,
         iterations=state.k,
         epsilon=config.epsilon,
         lam=state.lam,
         norm_K=state.norm_K,
         residual=final_res,
-        value=expected_value(game, x_plan, y_plan),
-        duality_gap=duality_gap(game, x_plan, y_plan),
-        feas=feasibility_residuals(game, state.x, state.y),
-        last=Quadruplet(state.y.copy(), state.p.copy(), state.x.copy(), state.q.copy()),
-        ergodic=avg,
+        value=value,
+        duality_gap=gap,
+        feas=feas,
+        last=state.blocks(state.z.copy()),
+        ergodic=ergodic_average(state),
         x_plan=x_plan,
         y_plan=y_plan,
         trace=trace,
         elapsed=time.perf_counter() - t0)
-    return report

@@ -65,10 +65,23 @@ def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     assert "requires --rows and --cols" in capsys.readouterr().err
 
 
-def test_nonpositive_rows_is_usage_error(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["make-game", "random-matrix", "--out", "x.json", "--rows", "0", "--cols", "4"],
+    ["solve", "--builtin", "kuhn", "--epsilon", "0"],
+    ["solve", "--builtin", "kuhn", "--epsilon", "nan"],
+    ["solve", "--builtin", "kuhn", "--epsilon", "inf"],
+    ["solve", "--builtin", "kuhn", "--lambda", "-1"],
+    ["solve", "--builtin", "kuhn", "--lambda", "nan"],
+    ["solve", "--builtin", "kuhn", "--trace-every", "-1"],
+    ["bench", "--sizes", "2", "--seeds", "0", "--epsilon", "0"],
+    ["bench", "--sizes", "2", "--seeds", "0", "--trace-every", "-1"],
+], ids=["make-game-rows-0", "solve-epsilon-0", "solve-epsilon-nan", "solve-epsilon-inf",
+        "solve-lambda-negative", "solve-lambda-nan", "solve-trace-every-negative",
+        "bench-epsilon-0", "bench-trace-every-negative"])
+def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
-        main(["make-game", "random-matrix", "--out", str(tmp_path / "x.json"),
-              "--rows", "0", "--cols", "4"])
+        main(argv)
     assert err.value.code == 2
 
 
@@ -125,8 +138,7 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert doc["manifest"]["version"] == "0.1.0"
     assert doc["manifest"]["flags"] == {
         "epsilon": 0.01, "max_iters": 100000, "seed": 0, "lambda": None,
-        "trace_every": 100, "dq_updated_y": True, "reclip_y": False,
-        "timing": False, "report": str(tmp_path / "report.json"),
+        "trace_every": 100, "timing": False, "report": str(tmp_path / "report.json"),
         "trace": str(tmp_path / "trace.csv"),
         "strategies": str(tmp_path / "s.json")}
 

@@ -25,12 +25,14 @@ def quad(state):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(lambda_override=0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(lambda_override=lam)
     with pytest.raises(ValueError):
         SolverConfig(trace_every=-1)
 
@@ -87,38 +89,35 @@ def test_second_step_hand_trace(trivial_game):
     assert residual(state) == np.sqrt(2.0) / 2.0
 
 
-def test_second_step_with_stale_y_variant(trivial_game):
-    config = SolverConfig(dq_uses_updated_y=False)
-    state = init(trivial_game, config=config)
-    step(state, trivial_game, config)
-    step(state, trivial_game, config)
-    assert quad(state) == ([2.0], [0.0], [1.0], [-1.0])
+def test_step_matches_nine_product_reference(kuhn, monkeypatch):
+    # the same update written block by block with separate A/E1/E2 products
+    def reference_step(game, lam, y0, p0, x0, q0):
+        A, E1, E2 = game.A, game.E1, game.E2
+        y1 = np.maximum(y0 - lam * (A.transpose_matvec(x0) + E2.transpose_matvec(q0)), 0.0)
+        p1 = p0 - lam * (game.e1 - E1.matvec(x0))
+        x1 = np.maximum(x0 + lam * (A.matvec(y1) - E1.transpose_matvec(p1)), 0.0)
+        dx = x1 - x0
+        dq = lam * (E2.matvec(y1) - game.e2)
+        y2 = y1 - lam * (A.transpose_matvec(dx) + E2.transpose_matvec(dq))
+        p2 = p1 + lam * E1.matvec(dx)
+        return y2, p2, x1, q0 + dq
 
+    for game in (kuhn[1], random_matrix_game(20, 20, seed=5)):
+        state = init(game)
+        ref = tuple(np.zeros(n) for n in (game.n2, game.l1, game.n1, game.l2))
+        for _ in range(2000):
+            step(state, game)
+            ref = reference_step(game, state.lam, *ref)
+            assert np.max(np.abs(state.iterate() - np.concatenate(ref))) <= 1e-12
 
-def test_dq_variant_changes_trajectory():
-    game = random_matrix_game(5, 5, seed=1)
-    a = solve(game, SolverConfig(epsilon=1e-12, max_iter=100))
-    b = solve(game, SolverConfig(epsilon=1e-12, max_iter=100,
-                                 dq_uses_updated_y=False))
-    assert not np.array_equal(a.last.q, b.last.q)
-
-
-def test_reclip_keeps_y_nonnegative():
-    game = random_matrix_game(6, 6, seed=0)
-    config = SolverConfig(reclip_y_after_correction=True)
-    state = init(game, config=config)
-    for _ in range(200):
-        step(state, game, config)
-        assert np.min(state.y) >= 0.0
-
-    config = SolverConfig()
-    state = init(game, config=config)
-    dips = 0.0
-    for _ in range(200):
-        step(state, game, config)
-        dips = min(dips, float(np.min(state.y)))
-    # without the extra clip the correction overshoots below zero
-    assert dips < 0.0
+    calls = []
+    for name in ("matvec", "transpose_matvec"):
+        def counted(self, v, name=name, original=getattr(SparseMatrix, name)):
+            calls.append(name)
+            return original(self, v)
+        monkeypatch.setattr(SparseMatrix, name, counted)
+    step(state, game)
+    assert len(calls) == 2
 
 
 def test_residual_arithmetic(trivial_game):
