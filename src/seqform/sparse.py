@@ -1,9 +1,11 @@
 """Sparse matrices and the product kernels the solver spends its time in.
 
-Matrices are assembled from (row, col, value) triplets, with duplicate
-coordinates summed, and compiled to a compressed-row layout. A second,
-transposed layout is kept alongside so products against the transpose
-have the same predictable cost as forward products. Instances are
+Matrices are assembled from (row, col, value) triplets or, on the bulk
+paths (from_dense, build_K), straight from index and value arrays, with
+duplicate coordinates summed, and compiled to a compressed-row layout. A
+second, transposed layout is kept alongside: products against the
+transpose then run over rows too, which is measurably faster than
+scipy's column-layout product on the solver's operators. Instances are
 immutable after construction and safe to share between solves.
 """
 
@@ -29,15 +31,22 @@ class SparseMatrix:
     __slots__ = ("rows", "cols", "_fwd", "_tns")
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
+        trips = list(triplets)
+        self._from_arrays(rows, cols,
+                          np.fromiter((t[0] for t in trips), dtype=np.int64, count=len(trips)),
+                          np.fromiter((t[1] for t in trips), dtype=np.int64, count=len(trips)),
+                          np.fromiter((t[2] for t in trips), dtype=np.float64, count=len(trips)))
+
+    def _from_arrays(self, rows, cols, ri, ci, vals) -> "SparseMatrix":
+        """Fill this matrix from parallel row, column and value arrays."""
         rows = int(rows)
         cols = int(cols)
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix shape must be at least 1x1, got {rows}x{cols}")
-        trips = list(triplets)
-        ri = np.fromiter((t[0] for t in trips), dtype=np.int64, count=len(trips))
-        ci = np.fromiter((t[1] for t in trips), dtype=np.int64, count=len(trips))
-        vals = np.fromiter((t[2] for t in trips), dtype=np.float64, count=len(trips))
-        if len(trips):
+        ri = np.asarray(ri, dtype=np.int64)
+        ci = np.asarray(ci, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if len(vals):
             if ri.min() < 0 or ri.max() >= rows or ci.min() < 0 or ci.max() >= cols:
                 raise ValueError("triplet index out of bounds")
             if not np.all(np.isfinite(vals)):
@@ -47,6 +56,7 @@ class SparseMatrix:
         coo = scipy.sparse.coo_matrix((vals, (ri, ci)), shape=(rows, cols))
         self._fwd = coo.tocsr()
         self._tns = self._fwd.T.tocsr()
+        return self
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -54,8 +64,7 @@ class SparseMatrix:
         if arr.ndim != 2:
             raise ValueError("from_dense expects a 2-d array")
         rs, cs = np.nonzero(arr)
-        trips = zip(rs.tolist(), cs.tolist(), arr[rs, cs].tolist())
-        return cls(arr.shape[0], arr.shape[1], trips)
+        return cls.__new__(cls)._from_arrays(arr.shape[0], arr.shape[1], rs, cs, arr[rs, cs])
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -89,18 +98,14 @@ class SparseMatrix:
             )
         return self._tns @ v
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, ((c, r, x) for r, c, x in self.triplets()))
-
-    def scaled(self, factor: float) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols, ((r, c, factor * x) for r, c, x in self.triplets()))
+    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and value arrays of the stored entries, in row-major order."""
+        m = self._fwd
+        return np.repeat(np.arange(self.rows), np.diff(m.indptr)), m.indices, m.data
 
     def triplets(self) -> list[Triplet]:
         """Stored entries in row-major order with columns ascending."""
-        m = self._fwd
-        counts = np.diff(m.indptr)
-        rs = np.repeat(np.arange(self.rows), counts)
-        return list(zip(rs.tolist(), m.indices.tolist(), m.data.tolist()))
+        return list(zip(*(a.tolist() for a in self._coo())))
 
     def to_dense(self) -> np.ndarray:
         return self._fwd.toarray()
@@ -119,20 +124,24 @@ class SparseMatrix:
         for key in ("rows", "cols", "triplets"):
             if key not in doc:
                 raise FileFormatError(f"sparse matrix is missing '{key}'")
-        rows, cols = doc["rows"], doc["cols"]
-        if not isinstance(rows, int) or not isinstance(cols, int):
+        # type() rather than isinstance(): JSON true and false load as bool,
+        # which is a subclass of int
+        rows, cols, items = doc["rows"], doc["cols"], doc["triplets"]
+        if type(rows) is not int or type(cols) is not int:
             raise FileFormatError("sparse matrix 'rows' and 'cols' must be integers")
-        trips = []
-        for k, item in enumerate(doc["triplets"]):
+        if not isinstance(items, list):
+            raise FileFormatError("sparse matrix 'triplets' must be a list")
+        for k, item in enumerate(items):
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise FileFormatError(f"triplet {k} must be [row, col, value]")
             r, c, x = item
-            if not isinstance(r, int) or not isinstance(c, int):
+            if type(r) is not int or type(c) is not int:
                 raise FileFormatError(f"triplet {k} has non-integer indices")
-            trips.append((r, c, float(x)))
+            if type(x) is not float and type(x) is not int:
+                raise FileFormatError(f"triplet {k} has a non-numeric value")
         try:
-            return cls(rows, cols, trips)
-        except ValueError as exc:
+            return cls(rows, cols, items)
+        except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"bad sparse matrix: {exc}") from None
 
     def __repr__(self) -> str:
@@ -198,7 +207,10 @@ def build_K(game) -> SparseMatrix:
     if violations:
         raise ValidationError(violations)
     n1, n2 = game.n1, game.n2
-    trips = list(game.A.triplets())
-    trips += [(i, n2 + r, -x) for r, i, x in game.E1.triplets()]
-    trips += [(n1 + r, j, x) for r, j, x in game.E2.triplets()]
-    return SparseMatrix(n1 + game.l2, n2 + game.l1, trips)
+    (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
+        m._coo() for m in (game.A, game.E1, game.E2))
+    return SparseMatrix.__new__(SparseMatrix)._from_arrays(
+        n1 + game.l2, n2 + game.l1,
+        np.concatenate([ar, ec1, n1 + er2]),
+        np.concatenate([ac, n2 + er1, ec2]),
+        np.concatenate([av, -ev1, ev2]))

@@ -7,6 +7,12 @@ sequence onto the sequences extending it at one information set. The
 one-row encoding E = (1, ..., 1), e = (1) used by plain matrix games is
 recognized and handled as a dedicated simplex mode.
 
+One decoder reads that tree for both validation and the index: a single
+pass over E's entries buckets the -1 and +1 columns of each row and the
++1 rows of each column, the checks read those buckets, and one walk up
+the parent chains finds cycles and depths, so validation and the index
+build take time linear in the size of E.
+
 Validation reports violations as data rather than raising, so tools can
 list everything wrong with a file at once.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -174,18 +180,12 @@ class FeasibilityResiduals(NamedTuple):
     min_y: float
 
 
-def _nonzero_triplets(E: SparseMatrix):
-    return [(r, c, v) for r, c, v in E.triplets() if v != 0.0]
+def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Optional[TreeplexIndex]]:
+    """Read the treeplex that (E, e) encodes, in one pass over E's entries.
 
-
-def _is_simplex_row(E: SparseMatrix) -> bool:
-    if E.rows != 1:
-        return False
-    entries = _nonzero_triplets(E)
-    return len(entries) == E.cols and all(v == 1.0 for _, _, v in entries)
-
-
-def _player_violations(E: SparseMatrix, e: np.ndarray, mat: str, vec: str) -> list[Violation]:
+    Returns the violations, named after mat and vec, and the index, which
+    is None whenever a violation was found.
+    """
     out = []
     e = np.asarray(e, dtype=np.float64)
     if len(e) != E.rows:
@@ -196,64 +196,59 @@ def _player_violations(E: SparseMatrix, e: np.ndarray, mat: str, vec: str) -> li
         if e[i] != 0.0:
             out.append(Violation(vec, f"[{i}]", f"entry must be 0, got {e[i]}"))
 
-    entries = []
+    negs: list[list[int]] = [[] for _ in range(E.rows)]
+    plus: list[list[int]] = [[] for _ in range(E.rows)]  # columns ascending
+    owners: list[list[int]] = [[] for _ in range(E.cols)]
     for r, c, v in E.triplets():
-        if v not in (-1.0, 0.0, 1.0):
-            out.append(Violation(mat, f"({r},{c})", f"entries must be -1, 0, or +1, got {v}"))
-        elif v != 0.0:
-            entries.append((r, c, v))
-
-    if _is_simplex_row(E):
-        return out
-
-    root = [(c, v) for r, c, v in entries if r == 0]
-    if root != [(0, 1.0)]:
-        out.append(Violation(mat, "row 0", "root row must contain a single +1 in column 0"))
-
-    plus_rows: dict[int, list[int]] = {c: [] for c in range(E.cols)}
-    neg_col: dict[int, int] = {}
-    for r, c, v in entries:
         if v == 1.0:
-            plus_rows[c].append(r)
+            plus[r].append(c)
+            owners[c].append(r)
+        elif v == -1.0:
+            negs[r].append(c)
+        elif v != 0.0:
+            out.append(Violation(mat, f"({r},{c})", f"entries must be -1, 0, or +1, got {v}"))
+
+    # a single row holding a +1 in every column leaves no room for any other entry
+    if E.rows == 1 and len(plus[0]) == E.cols:
+        return out, None if out else TreeplexIndex(
+            num_sequences=E.cols, simplex=True, parent_seq=(None,),
+            children=(tuple(plus[0]),), topo=(0,))
+
+    if negs[0] or plus[0] != [0]:
+        out.append(Violation(mat, "row 0", "root row must contain a single +1 in column 0"))
     for r in range(1, E.rows):
-        negs = [c for rr, c, v in entries if rr == r and v == -1.0]
-        pos = [c for rr, c, v in entries if rr == r and v == 1.0]
-        if len(negs) != 1:
-            out.append(Violation(mat, f"row {r}", f"must contain exactly one -1, found {len(negs)}"))
-        else:
-            neg_col[r] = negs[0]
-        if not pos:
+        if len(negs[r]) != 1:
+            out.append(Violation(mat, f"row {r}", f"must contain exactly one -1, found {len(negs[r])}"))
+        if not plus[r]:
             out.append(Violation(mat, f"row {r}", "must contain at least one +1"))
     for c in range(E.cols):
-        if len(plus_rows[c]) != 1:
-            out.append(Violation(mat, f"column {c}", f"must carry exactly one +1, found {len(plus_rows[c])}"))
-
+        if len(owners[c]) != 1:
+            out.append(Violation(mat, f"column {c}", f"must carry exactly one +1, found {len(owners[c])}"))
     if out:
-        return out
+        return out, None
 
-    # every row must reach row 0 through the parent-sequence chain
-    owner = {c: rs[0] for c, rs in plus_rows.items()}
-    status: dict[int, int] = {0: 1}  # 1 = reaches root, 2 = on current path
+    # Every row must reach row 0 through the parent-sequence chain. The walk
+    # stores each placed row's depth; -1 marks the current path, -2 a broken row.
+    depth = [0] + [None] * (E.rows - 1)
     for start in range(1, E.rows):
-        if start in status:
-            continue
-        path = []
-        r = start
-        broken = None
-        while r not in status:
-            status[r] = 2
+        path, r = [], start
+        while depth[r] is None:
+            depth[r] = -1
             path.append(r)
-            r = owner[neg_col[r]]
-            if status.get(r) == 2:
-                broken = "parent chain forms a cycle"
-                break
-        if broken is None and status.get(r) != 1:
-            broken = "parent chain does not reach the root row"
-        for rr in path:
-            status[rr] = 1 if broken is None else 3
-        if broken is not None:
-            out.append(Violation(mat, f"row {start}", broken))
-    return out
+            r = owners[negs[r][0]][0]
+        if depth[r] >= 0:
+            for d, rr in enumerate(reversed(path), depth[r] + 1):
+                depth[rr] = d
+        elif path:
+            rule = "forms a cycle" if depth[r] == -1 else "does not reach the root row"
+            out.append(Violation(mat, f"row {start}", f"parent chain {rule}"))
+            for rr in path:
+                depth[rr] = -2
+    rows = range(1, E.rows)
+    return out, None if out else TreeplexIndex(
+        num_sequences=E.cols, simplex=False, parent_seq=tuple(negs[r][0] for r in rows),
+        children=tuple(tuple(plus[r]) for r in rows),
+        topo=tuple(np.argsort(depth[1:], kind="stable").tolist()))
 
 
 def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
@@ -261,9 +256,7 @@ def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
 
     Returns a list of violations, empty when the game is well formed.
     """
-    out = []
-    out += _player_violations(game.E1, game.e1, "E1", "e1")
-    out += _player_violations(game.E2, game.e2, "E2", "e2")
+    out = _decode(game.E1, game.e1, "E1", "e1")[0] + _decode(game.E2, game.e2, "E2", "e2")[0]
     if game.A.rows != game.E1.cols:
         out.append(Violation("A", "rows", f"must match the {game.E1.cols} player 1 sequences, got {game.A.rows}"))
     if game.A.cols != game.E2.cols:
@@ -273,47 +266,10 @@ def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
 
 def build_treeplex_index(E: SparseMatrix, e, player: Optional[int] = None) -> TreeplexIndex:
     """Compile one player's constraints into a traversable index."""
-    viols = _player_violations(E, np.asarray(e, dtype=np.float64), "E", "e")
+    viols, index = _decode(E, e, "E", "e")
     if viols:
         raise StructureError("; ".join(str(v) for v in viols))
-    n = E.cols
-    if _is_simplex_row(E):
-        return TreeplexIndex(num_sequences=n, simplex=True, parent_seq=(None,),
-                             children=(tuple(range(n)),), topo=(0,), player=player)
-    entries = _nonzero_triplets(E)
-    num_infosets = E.rows - 1
-    parent_seq = [0] * num_infosets
-    children: list[list[int]] = [[] for _ in range(num_infosets)]
-    owner = {0: 0}
-    for r, c, v in entries:
-        if r == 0:
-            continue
-        if v == -1.0:
-            parent_seq[r - 1] = c
-        else:
-            children[r - 1].append(c)
-            owner[c] = r
-    for cs in children:
-        cs.sort()
-    depth = {0: 0}
-
-    def row_depth(r: int) -> int:
-        chain = []
-        while r not in depth:
-            chain.append(r)
-            r = owner[parent_seq[r - 1]]
-        d = depth[r]
-        for rr in reversed(chain):
-            d += 1
-            depth[rr] = d
-        return d
-
-    for r in range(1, E.rows):
-        row_depth(r)
-    topo = tuple(sorted(range(num_infosets), key=lambda i: (depth[i + 1], i)))
-    return TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
-                         children=tuple(tuple(cs) for cs in children), topo=topo,
-                         player=player)
+    return replace(index, player=player)
 
 
 def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestResponse:

@@ -111,6 +111,12 @@ def test_validate_parse_and_io_errors(tmp_path, capsys):
     assert main(["validate", str(out)]) == 2
     assert "declared dimensions" in capsys.readouterr().err
 
+    doc["n1"] = 13
+    doc["A"]["triplets"][0][2] = "abc"
+    out.write_text(render_json(doc) + "\n", encoding="utf-8")
+    assert main(["validate", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("i/o error:")
 

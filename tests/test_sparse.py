@@ -68,13 +68,6 @@ def test_matvec_dimension_errors():
         m.transpose_matvec([1.0, 2.0])
 
 
-def test_transpose_and_scaled():
-    dense = np.array([[1.0, 0.0], [2.0, -3.0]])
-    m = SparseMatrix.from_dense(dense)
-    assert np.array_equal(m.transpose().to_dense(), dense.T)
-    assert np.array_equal(m.scaled(-2.0).to_dense(), -2.0 * dense)
-
-
 def test_triplets_row_major():
     m = SparseMatrix(2, 3, [(1, 0, 4.0), (0, 2, 1.0), (0, 1, 2.0)])
     assert m.triplets() == [(0, 1, 2.0), (0, 2, 1.0), (1, 0, 4.0)]
@@ -94,6 +87,16 @@ def test_dict_round_trip():
     {"rows": 2, "cols": 2, "triplets": [[0, 0]]},
     {"rows": 2, "cols": 2, "triplets": [[0, 0.5, 1.0]]},
     {"rows": 2, "cols": 2, "triplets": [[5, 0, 1.0]]},
+    {"rows": 2, "cols": 2, "triplets": 5},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, "abc"]]},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, None]]},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, [1]]]},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, "1.5"]]},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, True]]},
+    {"rows": 2, "cols": 2, "triplets": [[True, 0, 1.0]]},
+    {"rows": True, "cols": 2, "triplets": []},
+    {"rows": 2, "cols": 2, "triplets": [[10 ** 30, 0, 1.0]]},
+    {"rows": 2, "cols": 2, "triplets": [[0, 0, 10 ** 400]]},
 ])
 def test_from_dict_rejects_malformed(doc):
     with pytest.raises(FileFormatError):

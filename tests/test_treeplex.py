@@ -1,18 +1,19 @@
 """Strategy polytopes: validation, indexing, best response, normalization."""
 
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
                      SequenceFormGame, SparseMatrix, StructureError,
-                     best_response, build_treeplex_index, duality_gap,
-                     expected_value, feasibility_residuals, normalize_to_polytope,
-                     random_matrix_game, simplex_game, simplex_gap,
-                     validate_sequence_form)
+                     TreeplexIndex, Violation, best_response, build_treeplex_index,
+                     duality_gap, expected_value, feasibility_residuals,
+                     normalize_to_polytope, random_matrix_game, simplex_game,
+                     simplex_gap, validate_sequence_form)
 from seqform.oracle import embed_pure_strategy
 from conftest import random_treeplex
 
@@ -138,6 +139,204 @@ def test_topo_orders_parents_first(seed):
         p = index.parent_seq[i]
         assert p is None or p == 0 or owner[p] in seen
         seen.add(i)
+
+
+# Reference decoder: a direct reading of the rules that rescans the entries
+# once per row, so it takes quadratic time. The one-pass decoder in
+# seqform.treeplex must agree with it exactly.
+
+def _ref_nonzero_triplets(E):
+    return [(r, c, v) for r, c, v in E.triplets() if v != 0.0]
+
+
+def _ref_is_simplex_row(E):
+    if E.rows != 1:
+        return False
+    entries = _ref_nonzero_triplets(E)
+    return len(entries) == E.cols and all(v == 1.0 for _, _, v in entries)
+
+
+def _ref_player_violations(E, e, mat, vec):
+    out = []
+    e = np.asarray(e, dtype=np.float64)
+    if len(e) != E.rows:
+        out.append(Violation(vec, "length", f"must have {E.rows} entries (one per row of {mat}), got {len(e)}"))
+    if len(e) >= 1 and e[0] != 1.0:
+        out.append(Violation(vec, "[0]", f"first entry must be 1, got {e[0]}"))
+    for i in range(1, len(e)):
+        if e[i] != 0.0:
+            out.append(Violation(vec, f"[{i}]", f"entry must be 0, got {e[i]}"))
+
+    entries = []
+    for r, c, v in E.triplets():
+        if v not in (-1.0, 0.0, 1.0):
+            out.append(Violation(mat, f"({r},{c})", f"entries must be -1, 0, or +1, got {v}"))
+        elif v != 0.0:
+            entries.append((r, c, v))
+
+    if _ref_is_simplex_row(E):
+        return out
+
+    root = [(c, v) for r, c, v in entries if r == 0]
+    if root != [(0, 1.0)]:
+        out.append(Violation(mat, "row 0", "root row must contain a single +1 in column 0"))
+
+    plus_rows: dict[int, list[int]] = {c: [] for c in range(E.cols)}
+    neg_col: dict[int, int] = {}
+    for r, c, v in entries:
+        if v == 1.0:
+            plus_rows[c].append(r)
+    for r in range(1, E.rows):
+        negs = [c for rr, c, v in entries if rr == r and v == -1.0]
+        pos = [c for rr, c, v in entries if rr == r and v == 1.0]
+        if len(negs) != 1:
+            out.append(Violation(mat, f"row {r}", f"must contain exactly one -1, found {len(negs)}"))
+        else:
+            neg_col[r] = negs[0]
+        if not pos:
+            out.append(Violation(mat, f"row {r}", "must contain at least one +1"))
+    for c in range(E.cols):
+        if len(plus_rows[c]) != 1:
+            out.append(Violation(mat, f"column {c}", f"must carry exactly one +1, found {len(plus_rows[c])}"))
+
+    if out:
+        return out
+
+    # every row must reach row 0 through the parent-sequence chain
+    owner = {c: rs[0] for c, rs in plus_rows.items()}
+    status: dict[int, int] = {0: 1}  # 1 = reaches root, 2 = on current path
+    for start in range(1, E.rows):
+        if start in status:
+            continue
+        path = []
+        r = start
+        broken = None
+        while r not in status:
+            status[r] = 2
+            path.append(r)
+            r = owner[neg_col[r]]
+            if status.get(r) == 2:
+                broken = "parent chain forms a cycle"
+                break
+        if broken is None and status.get(r) != 1:
+            broken = "parent chain does not reach the root row"
+        for rr in path:
+            status[rr] = 1 if broken is None else 3
+        if broken is not None:
+            out.append(Violation(mat, f"row {start}", broken))
+    return out
+
+
+def _ref_build_treeplex_index(E, e, player=None):
+    viols = _ref_player_violations(E, np.asarray(e, dtype=np.float64), "E", "e")
+    if viols:
+        raise StructureError("; ".join(str(v) for v in viols))
+    n = E.cols
+    if _ref_is_simplex_row(E):
+        return TreeplexIndex(num_sequences=n, simplex=True, parent_seq=(None,),
+                             children=(tuple(range(n)),), topo=(0,), player=player)
+    entries = _ref_nonzero_triplets(E)
+    num_infosets = E.rows - 1
+    parent_seq = [0] * num_infosets
+    children: list[list[int]] = [[] for _ in range(num_infosets)]
+    owner = {0: 0}
+    for r, c, v in entries:
+        if r == 0:
+            continue
+        if v == -1.0:
+            parent_seq[r - 1] = c
+        else:
+            children[r - 1].append(c)
+            owner[c] = r
+    for cs in children:
+        cs.sort()
+    depth = {0: 0}
+
+    def row_depth(r: int) -> int:
+        chain = []
+        while r not in depth:
+            chain.append(r)
+            r = owner[parent_seq[r - 1]]
+        d = depth[r]
+        for rr in reversed(chain):
+            d += 1
+            depth[rr] = d
+        return d
+
+    for r in range(1, E.rows):
+        row_depth(r)
+    topo = tuple(sorted(range(num_infosets), key=lambda i: (depth[i + 1], i)))
+    return TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
+                         children=tuple(tuple(cs) for cs in children), topo=topo,
+                         player=player)
+
+
+def _corrupt(rng, E, e):
+    """Apply one random structural corruption to a constraint system."""
+    trips = E.triplets()
+    e = list(e)
+    kind = int(rng.integers(0, 6))
+    if kind == 0 and trips:
+        trips.pop(int(rng.integers(0, len(trips))))
+    elif kind == 1 and trips:
+        k = int(rng.integers(0, len(trips)))
+        r, c, v = trips[k]
+        trips[k] = (r, c, -v)
+    elif kind == 2:
+        trips.append((int(rng.integers(0, E.rows)), int(rng.integers(0, E.cols)),
+                      float(rng.choice([-1.0, 1.0, 2.0]))))
+    elif kind == 3 and trips:
+        k = int(rng.integers(0, len(trips)))
+        r, _, v = trips[k]
+        trips[k] = (r, int(rng.integers(0, E.cols)), v)
+    elif kind == 4:
+        e[int(rng.integers(0, len(e)))] = float(rng.choice([0.0, 1.0, 0.5, -1.0]))
+    elif kind == 5:
+        e = e[:-1] if len(e) > 1 and rng.random() < 0.5 else e + [0.0]
+    return SparseMatrix(E.rows, E.cols, trips), np.array(e)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 2))
+@example(120, 1)  # a cycle, and a row hanging off it that cannot reach the root
+@settings(max_examples=300, deadline=None)
+def test_decoder_matches_reference(seed, corruptions):
+    rng = np.random.default_rng(seed)
+    E, e = random_treeplex(rng)
+    for _ in range(corruptions):
+        E, e = _corrupt(rng, E, e)
+    game = SequenceFormGame(A=SparseMatrix.zeros(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
+    expected = _ref_player_violations(E, e, "E1", "e1") + _ref_player_violations(E, e, "E2", "e2")
+    assert [str(v) for v in validate_sequence_form(game)] == [str(v) for v in expected]
+    try:
+        want = _ref_build_treeplex_index(E, e, player=1)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as err:
+            build_treeplex_index(E, e, player=1)
+        assert str(err.value) == str(exc)
+        return
+    assert build_treeplex_index(E, e, player=1) == want
+
+
+def test_validation_and_index_run_in_linear_time():
+    # complete ternary treeplex of depth 9, numbered level by level: infoset j
+    # owns sequences 3j+1..3j+3 and hangs off sequence j
+    infosets = (3 ** 9 - 1) // 2
+    trips = [(0, 0, 1.0)]
+    for j in range(infosets):
+        trips += [(j + 1, j, -1.0)] + [(j + 1, 3 * j + a, 1.0) for a in (1, 2, 3)]
+    E = SparseMatrix(infosets + 1, 3 * infosets + 1, trips)
+    assert E.shape == (9842, 29524)
+    e = np.zeros(E.rows)
+    e[0] = 1.0
+    game = SequenceFormGame(A=SparseMatrix.zeros(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
+    start = time.perf_counter()
+    assert validate_sequence_form(game) == []
+    indexes = (game.index1, game.index2)
+    elapsed = time.perf_counter() - start
+    assert all(index.num_infosets == infosets for index in indexes)
+    # linear decoding takes well under 0.1 s here; rescanning the entries per row
+    # (the reference decoder above) takes tens of seconds
+    assert elapsed < 2.0
 
 
 def test_best_response_simplex():
