@@ -15,6 +15,7 @@ exit 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -63,6 +64,11 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            # the strategy vectors: one finiteness pass, then one format map
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("cannot serialize a non-finite number")
+            return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
         if all(_is_scalar(v) for v in obj):
             return "[" + ", ".join(_scalar_json(v) for v in obj) + "]"
         body = ",\n".join(inner + render_json(v, indent + 1) for v in obj)
@@ -100,9 +106,18 @@ def write_trace_csv(path: str, trace, timing: bool) -> None:
 
 
 def _load_game_file(path: str) -> SequenceFormGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return SequenceFormGame.from_dict(doc)
+    # The cyclic garbage collector would rescan the parse's millions of
+    # new lists while they are built, though a JSON document holds no
+    # cycles; it stays paused until the document is turned into a game
+    # and freed.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return SequenceFormGame.from_dict(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _sha256(path: str) -> str:
@@ -157,7 +172,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the step-size estimator (default 0)")
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=None,
-                   help="step size override (default: 1 / operator norm)")
+                   help="step size override (default: 1 / operator norm; a larger "
+                        "step voids the convergence guarantee)")
     p.add_argument("--trace-every", type=_nonnegative_int, default=100,
                    help="record a trace row every N iterations (default 100)")
     p.add_argument("--timing", action="store_true",

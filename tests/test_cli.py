@@ -1,13 +1,20 @@
 """End-to-end command line behavior: files, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqform
 from seqform import efg_from_dict, random_matrix_game, to_sequence_form
-from seqform.cli import TRACE_HEADER, main, render_json, write_trace_csv
+from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
+                         render_json, write_trace_csv)
 from seqform.solver import TracePoint
 from seqform.treeplex import SequenceFormGame
 
@@ -271,6 +278,55 @@ def test_render_json_formatting():
         render_json(float("nan"))
     with pytest.raises(TypeError):
         render_json({1, 2})
+    # all-float lists take a fast path with the per-item bytes and checks
+    assert render_json([0.1, -0.0, 1e300]) == "[0.10000000000000001, -0, 1.0000000000000001e+300]"
+    with pytest.raises(ValueError):
+        render_json([0.5, float("nan")])
+    rng = np.random.default_rng(5)
+    floats = (rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)).tolist()
+    assert render_json(floats) == "[" + ", ".join(_scalar_json(v) for v in floats) + "]"
+
+
+def test_load_game_file_restores_the_collector(tmp_path, monkeypatch):
+    good = tmp_path / "game.json"
+    assert main(["make-game", "random-matrix", "--rows", "3", "--cols", "2",
+                 "--out", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    seen = []
+    from_dict = SequenceFormGame.from_dict.__func__
+    monkeypatch.setattr(SequenceFormGame, "from_dict", classmethod(
+        lambda cls, doc: seen.append(gc.isenabled()) or from_dict(cls, doc)))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert _load_game_file(str(good)).A.shape == (3, 2)
+            assert gc.isenabled() == enabled
+            with pytest.raises(json.JSONDecodeError):
+                _load_game_file(str(bad))
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the document is turned into a game with the collector paused
+    assert seen == [False, False]
+
+
+def test_solve_leaves_scipy_linalg_unimported(tmp_path):
+    # importing scipy.linalg costs more than a whole Kuhn set-up
+    modules = ("scipy.linalg", "scipy.sparse.linalg")
+    code = ("import sys\n"
+            "from seqform.cli import main\n"
+            "code = main(['solve', '--builtin', 'kuhn'])\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(seqform.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_render_json_round_trips_doubles():

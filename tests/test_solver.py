@@ -6,7 +6,8 @@ import pytest
 from seqform import (DimensionError, DivergenceError, InitializationError,
                      SolverConfig, SparseMatrix, ergodic_average, init,
                      random_matrix_game, residual, simplex_game, solve, step)
-from seqform.sparse import SpectralEstimate
+from seqform.oracle import dense_spectral_norm
+from seqform.sparse import SpectralEstimate, build_K
 
 
 @pytest.fixture
@@ -44,6 +45,15 @@ def test_init_state(trivial_game):
     assert state.k == 0
     assert np.array_equal(state.z0, np.zeros(4))
     assert np.array_equal(state.iterate(), np.zeros(4))
+
+
+def test_step_is_safe(kuhn, pennies):
+    # lambda must not exceed 1/||K||, up to rounding: the guarantee needs it
+    _, kuhn_game, _ = kuhn
+    games = [kuhn_game, pennies] + [random_matrix_game(rows, cols, seed) for rows, cols, seed in
+                                    [(2, 3, 0), (10, 10, 1), (30, 20, 2), (50, 60, 3), (60, 50, 4)]]
+    for game in games:
+        assert init(game).lam * dense_spectral_norm(build_K(game)) <= 1 + 1e-12
 
 
 def test_init_with_start(trivial_game):
@@ -169,7 +179,10 @@ def test_trivial_game_convergence(trivial_game):
 def test_matching_pennies_solution(pennies):
     report = solve(pennies, SolverConfig(epsilon=1e-3, restart=False))
     assert report.converged
-    assert report.iterations == 2000
+    # at lambda = 1/||K|| = 0.5 the residual after 2000 steps is exactly
+    # 1e-3, so step 2001 is the first below it; a step one rounding error
+    # too large (an underestimated norm) got there at 2000
+    assert report.iterations == 2001
     # the symmetric start keeps both coordinates identical, so the
     # normalized averages sit exactly on the mixed equilibrium
     assert np.array_equal(report.x_plan, [0.5, 0.5])
@@ -198,7 +211,9 @@ def test_solve_is_deterministic():
 
 def test_trace_schedule(pennies):
     report = solve(pennies, SolverConfig(epsilon=1e-3, trace_every=100, restart=False))
-    assert [t.iter for t in report.trace] == list(range(100, 2001, 100))
+    # the run stops at 2001 (see test_matching_pennies_solution), which
+    # adds a final row after the scheduled ones
+    assert [t.iter for t in report.trace] == list(range(100, 2001, 100)) + [2001]
     report = solve(pennies, SolverConfig(epsilon=1e-3, max_iter=10, trace_every=7, restart=False))
     assert [t.iter for t in report.trace] == [7, 10]
     report = solve(pennies, SolverConfig(epsilon=1e-3, max_iter=10, restart=False))

@@ -5,6 +5,7 @@ import pytest
 
 from seqform import (DimensionError, FileFormatError, SparseMatrix,
                      ValidationError, build_K, simplex_game, spectral_norm)
+from seqform import sparse as sparse_module
 from seqform.oracle import dense_spectral_norm
 
 
@@ -113,6 +114,40 @@ def test_spectral_norm_zero_matrix():
     est = spectral_norm(SparseMatrix.zeros(4, 4))
     assert est.converged
     assert est.value == 0.0
+    # the first round leaves nothing to orthogonalize, whatever the width
+    assert est.iterations == 1
+    assert spectral_norm(SparseMatrix.zeros(3, 100)) == (0.0, True, 1)
+
+
+def test_spectral_norm_exact_on_rotation_and_pennies():
+    # K^T K is the identity for the 1x1 zero game, whose operator is a
+    # rotation; the Krylov space closes after one round
+    rotation = build_K(simplex_game(SparseMatrix.zeros(1, 1)))
+    assert spectral_norm(rotation) == (1.0, True, 1)
+    pennies = build_K(simplex_game(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])))
+    assert spectral_norm(pennies) == (2.0, True, 2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectral_norm_krylov_space_closes_early(seed):
+    # matching pennies: K is 3x3 and K^T K has eigenvalues 4, 2, 2, so the
+    # Krylov space closes after two rounds, before the third column
+    pennies = build_K(simplex_game(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])))
+    est = spectral_norm(pennies, seed=seed)
+    assert est.converged
+    assert est.iterations == 2
+    assert abs(est.value - 2.0) <= 1e-15
+
+
+def test_spectral_norm_restarts_a_full_basis():
+    # 300 evenly spaced singular values need more rounds than the basis
+    # holds, so Lanczos restarts from its top Ritz vector on the way
+    m = SparseMatrix.from_dense(np.diag(np.linspace(0.0, 1.0, 300)))
+    est = spectral_norm(m)
+    assert est.converged
+    assert est.iterations > sparse_module._MAX_BASIS
+    assert abs(est.value - 1.0) <= 1e-12
+    assert est == spectral_norm(m)
 
 
 def test_spectral_norm_accuracy():
@@ -122,6 +157,17 @@ def test_spectral_norm_accuracy():
     exact = np.linalg.norm(dense, 2)
     assert est.converged
     assert abs(est.value - exact) / exact < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (9, 12), (70, 80)])
+def test_spectral_norm_is_a_rayleigh_quotient(shape):
+    # up to 64 columns the Krylov space closes; beyond, every round is tested
+    dense = np.random.default_rng(11).standard_normal(shape)
+    est = spectral_norm(SparseMatrix.from_dense(dense))
+    exact = np.linalg.norm(dense, 2)
+    assert est.converged
+    assert est.value <= exact * (1 + 1e-15)
+    assert (exact - est.value) / exact < 1e-13
 
 
 def test_spectral_norm_deterministic():
