@@ -105,7 +105,25 @@ def write_trace_csv(path: str, trace, timing: bool) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_game_file(path: str) -> SequenceFormGame:
+class _Utf8Reader:
+    """What json.load reads: a binary file's bytes, hashed if asked, decoded as strict UTF-8."""
+
+    def __init__(self, fh, hasher):
+        self._fh = fh
+        self._hasher = hasher
+
+    def read(self) -> str:
+        data = self._fh.read()
+        if self._hasher is not None:
+            self._hasher.update(data)
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"game file is not valid UTF-8: {exc}") from None
+
+
+def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
+    """Parse a game file, read once; its bytes also go to hasher.update if given."""
     # The cyclic garbage collector would rescan the parse's millions of
     # new lists while they are built, though a JSON document holds no
     # cycles; it stays paused until the document is turned into a game
@@ -113,19 +131,11 @@ def _load_game_file(path: str) -> SequenceFormGame:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return SequenceFormGame.from_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            return SequenceFormGame.from_dict(json.load(_Utf8Reader(fh, hasher)))
     finally:
         if enabled:
             gc.enable()
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _int_at_least(low: int, word: str):
@@ -309,12 +319,12 @@ def _report_dict(report: SolveReport, manifest: dict) -> dict:
 
 def _strategies_dict(report: SolveReport) -> dict:
     return {
-        "x": [float(v) for v in report.x_plan],
-        "y": [float(v) for v in report.y_plan],
-        "x_last": [float(v) for v in report.last.x],
-        "y_last": [float(v) for v in report.last.y],
-        "p_last": [float(v) for v in report.last.p],
-        "q_last": [float(v) for v in report.last.q],
+        "x": report.x_plan.tolist(),
+        "y": report.y_plan.tolist(),
+        "x_last": report.last.x.tolist(),
+        "y_last": report.last.y.tolist(),
+        "p_last": report.last.p.tolist(),
+        "q_last": report.last.q.tolist(),
     }
 
 
@@ -339,8 +349,9 @@ def cmd_solve(args) -> int:
         game_desc = {"builtin": "random-matrix", "rows": args.rows,
                      "cols": args.cols, "seed": args.seed}
     else:
-        game = _load_game_file(args.game)
-        game_desc = {"path": args.game, "sha256": _sha256(args.game)}
+        hasher = hashlib.sha256()
+        game = _load_game_file(args.game, hasher)
+        game_desc = {"path": args.game, "sha256": hasher.hexdigest()}
 
     report = solve(game, _config_from_args(args))
     write_trace_csv(args.trace, report.trace, args.timing)

@@ -2,11 +2,17 @@
 
 Matrices are assembled from (row, col, value) triplets or, on the bulk
 paths (from_dense, build_K), straight from index and value arrays, with
-duplicate coordinates summed, and compiled to a compressed-row layout. A
-second, transposed layout is kept alongside: products against the
-transpose then run over rows too, which is measurably faster than
-scipy's column-layout product on the solver's operators. Instances are
-immutable after construction and safe to share between solves.
+duplicate coordinates summed, and compiled to a compressed-row layout
+that stays the record of the stored entries. Products run on whichever
+layout reads fewer bytes. A matrix whose dense array (8 bytes a cell) is
+no larger than its compressed rows (12 bytes a stored entry: value and
+column index), such as a matrix game's payoff block, multiplies as a
+read-only dense array, one BLAS product each way, its transpose a view.
+Any other matrix keeps a second, transposed compressed-row layout, so
+products against the transpose run over rows too, which is measurably
+faster than scipy's column-layout product on the solver's operators.
+Instances are immutable after construction and safe to share between
+solves.
 
 spectral_norm estimates the largest singular value, which sets the
 solver's step size, by Lanczos on K^T K with numpy alone: importing
@@ -36,9 +42,17 @@ _MAX_BASIS = 25
 
 
 class SparseMatrix:
-    """Immutable sparse matrix with forward and transposed row layouts."""
+    """Immutable sparse matrix, with a product layout chosen by bytes read.
 
-    __slots__ = ("rows", "cols", "_fwd", "_tns")
+    _csr holds the stored entries, explicit zeros and summed duplicates
+    included, and is what nnz, triplets, to_dict and to_dense read.
+    Products use _fwd and _tns: a read-only dense array and its transposed
+    view when 8 * rows * cols <= 12 * nnz, since a dense product then
+    reads no more bytes than a compressed-row one; otherwise _csr and a
+    transposed compressed-row copy.
+    """
+
+    __slots__ = ("rows", "cols", "_csr", "_fwd", "_tns")
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
         trips = list(triplets)
@@ -63,9 +77,14 @@ class SparseMatrix:
                 raise ValueError("matrix values must be finite")
         self.rows = rows
         self.cols = cols
-        coo = scipy.sparse.coo_matrix((vals, (ri, ci)), shape=(rows, cols))
-        self._fwd = coo.tocsr()
-        self._tns = self._fwd.T.tocsr()
+        self._csr = scipy.sparse.coo_matrix((vals, (ri, ci)), shape=(rows, cols)).tocsr()
+        if 8 * rows * cols <= 12 * self._csr.nnz:
+            self._fwd = self._csr.toarray()
+            self._fwd.flags.writeable = False
+            self._tns = self._fwd.T
+        else:
+            self._fwd = self._csr
+            self._tns = self._csr.T.tocsr()
         return self
 
     @classmethod
@@ -90,7 +109,7 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(self._fwd.nnz)
+        return int(self._csr.nnz)
 
     def matvec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -110,7 +129,7 @@ class SparseMatrix:
 
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value arrays of the stored entries, in row-major order."""
-        m = self._fwd
+        m = self._csr
         return np.repeat(np.arange(self.rows), np.diff(m.indptr)), m.indices, m.data
 
     def triplets(self) -> list[Triplet]:
@@ -118,7 +137,7 @@ class SparseMatrix:
         return list(zip(*(a.tolist() for a in self._coo())))
 
     def to_dense(self) -> np.ndarray:
-        return self._fwd.toarray()
+        return self._csr.toarray()
 
     def to_dict(self) -> dict:
         return {

@@ -128,6 +128,46 @@ def test_validate_parse_and_io_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_game_file_not_utf8_is_parse_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    assert main([command, "bad.json"]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_load_game_file_hashes_the_bytes_it_parses(tmp_path):
+    path = tmp_path / "game.json"
+    doc = random_matrix_game(3, 2, 5).to_dict()
+    doc["labels"] = {"note": "caf\u00e9 \u2660"}
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    hasher = hashlib.sha256()
+    game = _load_game_file(str(path), hasher)
+    assert game.labels == {"note": "caf\u00e9 \u2660"}
+    assert hasher.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_make_game_random_matrix_bytes_are_pinned(tmp_path):
+    out = tmp_path / "rm.json"
+    assert main(["make-game", "random-matrix", "--rows", "50", "--cols", "40",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b36f1b819ebd0b53cd40fc3332185ff09e5622ab5bc7402a90477271f24e1607")
+
+
+def test_solve_dense_game_reruns_are_byte_identical(tmp_path, monkeypatch):
+    # a full payoff block takes the dense product layout; Kuhn's does not
+    monkeypatch.chdir(tmp_path)
+    args = ["solve", "--builtin", "random-matrix", "--rows", "200", "--cols", "200",
+            "--epsilon", "1e-2"]
+    runs = []
+    for _ in range(2):
+        assert main(args) == 0
+        runs.append(((tmp_path / "report.json").read_bytes(),
+                     (tmp_path / "trace.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def solve_kuhn_args(tmp_path, *extra):
     return ["solve", "--builtin", "kuhn", "--epsilon", "1e-2",
             "--report", str(tmp_path / "report.json"),

@@ -69,6 +69,68 @@ def test_matvec_dimension_errors():
         m.transpose_matvec([1.0, 2.0])
 
 
+def is_dense(m):
+    return isinstance(m._fwd, np.ndarray)
+
+
+def matrix_3x3(count):
+    """A 3x3 matrix with the first count of its cells stored, row by row."""
+    cells = [(i // 3, i % 3, float(i + 1)) for i in range(count)]
+    return SparseMatrix(3, 3, cells)
+
+
+def test_layout_rule_boundary():
+    # 8 * 3 * 3 = 72 bytes dense against 12 per stored entry
+    assert is_dense(matrix_3x3(6))
+    assert not is_dense(matrix_3x3(5))
+    assert not is_dense(SparseMatrix.zeros(3, 3))
+
+
+@pytest.mark.parametrize("count", [5, 6, 9])
+def test_products_on_both_layouts(count):
+    m = matrix_3x3(count)
+    dense = m.to_dense()
+    rng = np.random.default_rng(count)
+    for _ in range(5):
+        v = rng.standard_normal(3)
+        assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-12)
+        assert np.allclose(m.transpose_matvec(v), dense.T @ v, rtol=0, atol=1e-12)
+    with pytest.raises(DimensionError):
+        m.matvec(np.ones(4))
+    with pytest.raises(DimensionError):
+        m.transpose_matvec(np.ones(2))
+    # a returned vector belongs to the caller
+    v = np.array([1.0, -2.0, 0.5])
+    for product in (m.matvec, m.transpose_matvec):
+        first = product(v)
+        expected = first.copy()
+        first[:] = 99.0
+        assert np.array_equal(product(v), expected)
+
+
+def test_dense_layout_is_read_only():
+    m = matrix_3x3(9)
+    assert is_dense(m)
+    for arr in (m._fwd, m._tns):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    # to_dense hands out a fresh, writeable copy
+    dense = m.to_dense()
+    dense[0, 0] = 100.0
+    assert m.to_dense()[0, 0] == 1.0
+
+
+def test_dense_layout_keeps_the_stored_entries():
+    # an explicit zero and a duplicate pair, both on a dense-layout matrix
+    m = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 0.0), (1, 0, 2.0), (1, 0, 0.5), (1, 1, 3.0)])
+    assert is_dense(m)
+    assert m.nnz == 4
+    assert m.triplets() == [(0, 0, 1.0), (0, 1, 0.0), (1, 0, 2.5), (1, 1, 3.0)]
+    assert m.to_dict()["triplets"] == [[0, 0, 1.0], [0, 1, 0.0], [1, 0, 2.5], [1, 1, 3.0]]
+    assert np.array_equal(m.matvec([1.0, 1.0]), [1.0, 5.5])
+
+
 def test_triplets_row_major():
     m = SparseMatrix(2, 3, [(1, 0, 4.0), (0, 2, 1.0), (0, 1, 2.0)])
     assert m.triplets() == [(0, 1, 2.0), (0, 2, 1.0), (1, 0, 4.0)]
