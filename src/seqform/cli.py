@@ -132,7 +132,11 @@ def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
     gc.disable()
     try:
         with open(path, "rb") as fh:
-            return SequenceFormGame.from_dict(json.load(_Utf8Reader(fh, hasher)))
+            try:
+                doc = json.load(_Utf8Reader(fh, hasher))
+            except RecursionError as exc:
+                raise FileFormatError(f"game file nests too deeply: {exc}") from None
+        return SequenceFormGame.from_dict(doc)
     finally:
         if enabled:
             gc.enable()
@@ -181,9 +185,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default 100000)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the step-size estimator (default 0)")
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=None,
-                   help="step size override (default: 1 / operator norm; a larger "
-                        "step voids the convergence guarantee)")
     p.add_argument("--trace-every", type=_nonnegative_int, default=100,
                    help="record a trace row every N iterations (default 100)")
     p.add_argument("--timing", action="store_true",
@@ -272,7 +273,6 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
         epsilon=args.epsilon,
         max_iter=args.max_iters,
-        lambda_override=args.lam,
         trace_every=args.trace_every,
         seed=args.seed)
 
@@ -284,7 +284,6 @@ def _manifest(args, game_desc: dict) -> dict:
             "epsilon": args.epsilon,
             "max_iters": args.max_iters,
             "seed": args.seed,
-            "lambda": args.lam,
             "trace_every": args.trace_every,
             "timing": args.timing,
             "report": args.report,

@@ -26,7 +26,8 @@ running sum and k start again from zero. Each window between restarts
 is a fresh run of the same method, so the certificate, the averages and
 everything computed from them cover the steps since the last restart.
 Sequence-form zero-sum games are linear programs, on which restarted
-averaging converges linearly.
+averaging converges linearly. The plain iteration without restarts is
+a loop over init, step and residual.
 """
 
 from __future__ import annotations
@@ -50,35 +51,22 @@ from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
 class SolverConfig:
     """Solve parameters; the defaults are sensible for small games.
 
-    epsilon is the target of the certificate ||v|| / (k * lambda).
-    lambda_override replaces the step size 1 / ||K||; a step above
-    1 / ||K|| voids the convergence guarantee, and restarts can then
-    stall a run that the plain iteration finishes (measured on Kuhn at
-    1.5 / ||K||: 22,193 steps without restarts, the 100,000 cap with
-    them). seed fixes the start vector of the norm estimate, which runs
-    either way because the report carries ||K||. trace_every > 0
-    records a TracePoint every that many iterations. restart restarts
-    the averaging from the current average whenever the certificate has
-    halved since the last restart, so the certificate covers the
-    averages since then; with restart=False solve runs the plain
-    iteration from zero throughout.
+    epsilon is the target of the certificate ||v|| / (k * lambda), and
+    max_iter caps the number of steps. trace_every > 0 records a
+    TracePoint every that many iterations. seed fixes the start vector
+    of the norm estimate that sets the step size lambda = 1 / ||K||.
     """
 
     epsilon: float = 1e-4
     max_iter: int = 100000
-    lambda_override: Optional[float] = None
     trace_every: int = 0
     seed: int = 0
-    restart: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.lambda_override is not None and not (
-                math.isfinite(self.lambda_override) and self.lambda_override > 0):
-            raise ValueError("lambda_override must be finite and positive")
         if self.trace_every < 0:
             raise ValueError("trace_every must be nonnegative")
 
@@ -170,15 +158,11 @@ def init(game: SequenceFormGame, start=None, config: Optional[SolverConfig] = No
         config = SolverConfig()
     K = build_K(game)
     est = spectral_norm(K, rel_tol=1e-6, max_iter=5000, seed=config.seed)
-    if config.lambda_override is not None:
-        lam = config.lambda_override
-    else:
-        if not est.converged:
-            raise InitializationError(
-                f"operator norm estimation did not converge in {est.iterations} iterations")
-        if est.value <= 0.0:
-            raise InitializationError("operator norm estimate is not positive")
-        lam = 1.0 / est.value
+    if not est.converged:
+        raise InitializationError(
+            f"operator norm estimation did not converge in {est.iterations} iterations")
+    if est.value <= 0.0:
+        raise InitializationError("operator norm estimate is not positive")
 
     shapes = (game.n2, game.l1, game.n1, game.l2)
     if start is None:
@@ -196,7 +180,7 @@ def init(game: SequenceFormGame, start=None, config: Optional[SolverConfig] = No
         K=K, z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), c=c,
         v=np.zeros(z0.size), z_sum=np.zeros(z0.size), z0=z0,
         bounds=tuple(accumulate(shapes[:3])),
-        k=0, lam=lam, norm_K=est.value)
+        k=0, lam=1.0 / est.value, norm_K=est.value)
 
 
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
@@ -233,7 +217,9 @@ def residual(state: SolverState) -> float:
     """Convergence certificate ||v|| / (k * lambda); defined for k >= 1."""
     if state.k < 1:
         raise ValueError("residual is undefined before the first iteration")
-    return float(np.linalg.norm(state.v) / (state.k * state.lam))
+    # overflow surfaces as the divergence error step raises, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(state.v) / (state.k * state.lam))
 
 
 def ergodic_average(state: SolverState) -> Quadruplet:
@@ -286,10 +272,10 @@ def _restart(state: SolverState) -> None:
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
     """Iterate until the residual drops below epsilon or max_iter is hit.
 
-    With config.restart the averaging restarts whenever the residual is
-    at most half the reference, is still at or above epsilon, and
-    another step is allowed; the reference is the residual after the
-    first step and then the residual at each restart. iterations and
+    The averaging restarts whenever the residual is at most half the
+    reference, is still at or above epsilon, and another step is
+    allowed; the reference is the residual after the first step and
+    then the residual at each restart. iterations and
     TracePoint.iter count every step; the residual, the ergodic
     averages and the value and duality gap computed from them cover the
     steps since the last restart. Reported value and duality gap are
@@ -321,7 +307,7 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             break
         if steps == 1:
             reference = res
-        elif config.restart and res <= 0.5 * reference:
+        elif res <= 0.5 * reference:
             _restart(state)
             reference = res
     if not trace or trace[-1].iter != steps:

@@ -11,7 +11,8 @@ One decoder reads that tree for both validation and the index: a single
 pass over E's entries buckets the -1 and +1 columns of each row and the
 +1 rows of each column, the checks read those buckets, and one walk up
 the parent chains finds cycles and depths, so validation and the index
-build take time linear in the size of E. Best response and normalization
+build take time linear in the size of E. A game decodes each player's
+tree once and keeps the result for both. Best response and normalization
 sweep the index one depth level at a time with whole-array operations.
 
 Validation reports violations as data rather than raising, so tools can
@@ -88,12 +89,17 @@ class SequenceFormGame:
         return self.E2.rows
 
     @functools.cached_property
+    def _decoded(self) -> tuple:
+        """Each player's (violations, index), read by validation and the indexes."""
+        return _decode(self.E1, self.e1, "E1", "e1"), _decode(self.E2, self.e2, "E2", "e2")
+
+    @functools.cached_property
     def index1(self) -> "TreeplexIndex":
-        return build_treeplex_index(self.E1, self.e1, player=1)
+        return _checked_index(*self._decoded[0], player=1)
 
     @functools.cached_property
     def index2(self) -> "TreeplexIndex":
-        return build_treeplex_index(self.E2, self.e2, player=2)
+        return _checked_index(*self._decoded[1], player=2)
 
     def to_dict(self) -> dict:
         doc = {
@@ -127,6 +133,8 @@ class SequenceFormGame:
             ):
                 raise FileFormatError(f"'{vec}' must be a list of numbers")
         declared = (doc["n1"], doc["n2"], doc["l1"], doc["l2"])
+        if not all(type(n) is int for n in declared):
+            raise FileFormatError("game dimensions 'n1', 'n2', 'l1' and 'l2' must be integers")
         actual = (E1.cols, E2.cols, E1.rows, E2.rows)
         if declared != actual:
             raise FileFormatError(
@@ -302,7 +310,7 @@ def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
 
     Returns a list of violations, empty when the game is well formed.
     """
-    out = _decode(game.E1, game.e1, "E1", "e1")[0] + _decode(game.E2, game.e2, "E2", "e2")[0]
+    out = game._decoded[0][0] + game._decoded[1][0]
     if game.A.rows != game.E1.cols:
         out.append(Violation("A", "rows", f"must match the {game.E1.cols} player 1 sequences, got {game.A.rows}"))
     if game.A.cols != game.E2.cols:
@@ -310,12 +318,15 @@ def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
     return out
 
 
-def build_treeplex_index(E: SparseMatrix, e, player: Optional[int] = None) -> TreeplexIndex:
-    """Compile one player's constraints into a traversable index."""
-    viols, index = _decode(E, e, "E", "e")
+def _checked_index(viols: list[Violation], index, player: Optional[int]) -> TreeplexIndex:
     if viols:
         raise StructureError("; ".join(str(v) for v in viols))
     return replace(index, player=player)
+
+
+def build_treeplex_index(E: SparseMatrix, e, player: Optional[int] = None) -> TreeplexIndex:
+    """Compile one player's constraints into a traversable index."""
+    return _checked_index(*_decode(E, e, "E", "e"), player=player)
 
 
 def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestResponse:

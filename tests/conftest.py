@@ -11,6 +11,7 @@ import pytest
 
 from seqform import (Chance, Decision, ExtensiveFormGame, SparseMatrix,
                      Terminal, kuhn_poker, to_sequence_form)
+from seqform.sparse import SpectralEstimate
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +19,14 @@ def kuhn():
     efg = kuhn_poker()
     game, seqmap = to_sequence_form(efg)
     return efg, game, seqmap
+
+
+def fixed_norm(monkeypatch, value):
+    """Make solver.init see a converged norm estimate of value, so lambda = 1 / value."""
+    import seqform.solver as solver_module
+
+    monkeypatch.setattr(solver_module, "spectral_norm",
+                        lambda *a, **k: SpectralEstimate(value, True, 1))
 
 
 def dyadic_probs(rng, n):

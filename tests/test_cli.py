@@ -17,6 +17,7 @@ from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
                          render_json, write_trace_csv)
 from seqform.solver import TracePoint
 from seqform.treeplex import SequenceFormGame
+from conftest import fixed_norm
 
 
 def read(path):
@@ -77,13 +78,12 @@ def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     ["solve", "--builtin", "kuhn", "--epsilon", "0"],
     ["solve", "--builtin", "kuhn", "--epsilon", "nan"],
     ["solve", "--builtin", "kuhn", "--epsilon", "inf"],
-    ["solve", "--builtin", "kuhn", "--lambda", "-1"],
-    ["solve", "--builtin", "kuhn", "--lambda", "nan"],
+    ["solve", "--builtin", "kuhn", "--lambda", "0.5"],
     ["solve", "--builtin", "kuhn", "--trace-every", "-1"],
     ["bench", "--sizes", "2", "--seeds", "0", "--epsilon", "0"],
     ["bench", "--sizes", "2", "--seeds", "0", "--trace-every", "-1"],
 ], ids=["make-game-rows-0", "solve-epsilon-0", "solve-epsilon-nan", "solve-epsilon-inf",
-        "solve-lambda-negative", "solve-lambda-nan", "solve-trace-every-negative",
+        "solve-lambda-is-unknown", "solve-trace-every-negative",
         "bench-epsilon-0", "bench-trace-every-negative"])
 def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -124,8 +124,24 @@ def test_validate_parse_and_io_errors(tmp_path, capsys):
     assert main(["validate", str(out)]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
 
+    main(["make-game", "kuhn", "--out", str(out)])
+    doc = json.loads(read(out))
+    for key, value in (("n1", 13.0), ("l1", True)):
+        out.write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
+        assert main(["validate", str(out)]) == 2
+        assert "must be integers" in capsys.readouterr().err
+
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_deeply_nested_game_file_is_parse_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100000, encoding="utf-8")
+    assert main([command, "deep.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "nests too deeply" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -190,8 +206,8 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert doc["manifest"]["game"] == {"builtin": "kuhn"}
     assert doc["manifest"]["version"] == "0.1.0"
     assert doc["manifest"]["flags"] == {
-        "epsilon": 0.01, "max_iters": 100000, "seed": 0, "lambda": None,
-        "trace_every": 100, "timing": False, "report": str(tmp_path / "report.json"),
+        "epsilon": 0.01, "max_iters": 100000, "seed": 0, "trace_every": 100,
+        "timing": False, "report": str(tmp_path / "report.json"),
         "trace": str(tmp_path / "trace.csv"),
         "strategies": str(tmp_path / "s.json")}
 
@@ -255,8 +271,10 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert doc["iterations"] == 50
 
 
-def test_solve_divergence_exit_code(tmp_path, capsys):
-    code = main(solve_kuhn_args(tmp_path, "--lambda", "1e200"))
+def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    # a norm estimate far too small makes the step size diverge at once
+    fixed_norm(monkeypatch, 1e-200)
+    code = main(solve_kuhn_args(tmp_path))
     assert code == 4
     assert capsys.readouterr().err.startswith("divergence:")
 

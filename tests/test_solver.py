@@ -1,13 +1,17 @@
 """Solver iteration, certificates, averages, and failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from seqform import (DimensionError, DivergenceError, InitializationError,
-                     SolverConfig, SparseMatrix, ergodic_average, init,
+                     SolverConfig, SparseMatrix, duality_gap, ergodic_average,
+                     expected_value, init, normalize_to_polytope,
                      random_matrix_game, residual, simplex_game, solve, step)
 from seqform.oracle import dense_spectral_norm
 from seqform.sparse import SpectralEstimate, build_K
+from conftest import fixed_norm
 
 
 @pytest.fixture
@@ -25,17 +29,32 @@ def quad(state):
     return (state.y.tolist(), state.p.tolist(), state.x.tolist(), state.q.tolist())
 
 
+def plain_iteration(game, epsilon):
+    """The iteration without restarts, run until the certificate is below epsilon."""
+    state = init(game)
+    while True:
+        step(state, game)
+        if residual(state) < epsilon:
+            return state
+
+
+def averaged_plans(state, game):
+    avg = ergodic_average(state)
+    return (normalize_to_polytope(game.index1, avg.x).values,
+            normalize_to_polytope(game.index2, avg.y).values)
+
+
 def test_config_validation():
     for epsilon in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    for lam in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            SolverConfig(lambda_override=lam)
     with pytest.raises(ValueError):
         SolverConfig(trace_every=-1)
+    # one schedule and one step size: nothing else is configurable
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "epsilon", "max_iter", "trace_every", "seed"]
 
 
 def test_init_state(trivial_game):
@@ -71,9 +90,6 @@ def test_init_requires_converged_norm_estimate(trivial_game, monkeypatch):
                         lambda *a, **k: SpectralEstimate(1.0, False, 5000))
     with pytest.raises(InitializationError, match="did not converge"):
         init(trivial_game)
-    # an explicit step size skips the estimate entirely
-    state = init(trivial_game, config=SolverConfig(lambda_override=0.25))
-    assert state.lam == 0.25
 
     monkeypatch.setattr(solver_module, "spectral_norm",
                         lambda *a, **k: SpectralEstimate(0.0, True, 3))
@@ -131,7 +147,8 @@ def test_step_matches_nine_product_reference(kuhn, monkeypatch):
 
 
 def test_residual_arithmetic(trivial_game):
-    state = init(trivial_game, config=SolverConfig(lambda_override=0.5))
+    state = init(trivial_game)
+    state.lam = 0.5
     with pytest.raises(ValueError):
         residual(state)
     state.k = 5
@@ -164,38 +181,39 @@ def test_telescoping_identity():
 
 
 def test_trivial_game_convergence(trivial_game):
-    report = solve(trivial_game, SolverConfig(epsilon=1e-2, restart=False))
+    state = plain_iteration(trivial_game, 1e-2)
     # the iterates reach the fixed point after two steps, after which the
     # residual decays exactly like sqrt(2)/k
-    assert report.converged
-    assert report.iterations == 142
-    assert 0.0099 < report.residual < 1e-2
-    assert np.array_equal(report.x_plan, [1.0])
-    assert np.array_equal(report.y_plan, [1.0])
-    assert report.value == 0.0
-    assert report.duality_gap == 0.0
+    assert state.k == 142
+    assert 0.0099 < residual(state) < 1e-2
+    x_plan, y_plan = averaged_plans(state, trivial_game)
+    assert np.array_equal(x_plan, [1.0])
+    assert np.array_equal(y_plan, [1.0])
+    assert expected_value(trivial_game, x_plan, y_plan) == 0.0
+    assert duality_gap(trivial_game, x_plan, y_plan) == 0.0
 
 
 def test_matching_pennies_solution(pennies):
-    report = solve(pennies, SolverConfig(epsilon=1e-3, restart=False))
-    assert report.converged
+    state = plain_iteration(pennies, 1e-3)
     # at lambda = 1/||K|| = 0.5 the residual after 2000 steps is exactly
     # 1e-3, so step 2001 is the first below it; a step one rounding error
     # too large (an underestimated norm) got there at 2000
-    assert report.iterations == 2001
+    assert state.k == 2001
     # the symmetric start keeps both coordinates identical, so the
     # normalized averages sit exactly on the mixed equilibrium
-    assert np.array_equal(report.x_plan, [0.5, 0.5])
-    assert np.array_equal(report.y_plan, [0.5, 0.5])
-    assert report.value == 0.0
-    assert report.lam == 1.0 / report.norm_K
+    x_plan, y_plan = averaged_plans(state, pennies)
+    assert np.array_equal(x_plan, [0.5, 0.5])
+    assert np.array_equal(y_plan, [0.5, 0.5])
+    assert expected_value(pennies, x_plan, y_plan) == 0.0
+    assert state.lam == 1.0 / state.norm_K
 
 
-def test_non_convergence_reported(pennies):
-    report = solve(pennies, SolverConfig(epsilon=1e-6, max_iter=100, restart=False))
+def test_non_convergence_reported(kuhn):
+    _, game, _ = kuhn
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=50))
     assert not report.converged
-    assert report.iterations == 100
-    assert report.residual >= 1e-6
+    assert report.iterations == 50
+    assert report.residual >= 1e-4
 
 
 def test_solve_is_deterministic():
@@ -209,14 +227,14 @@ def test_solve_is_deterministic():
     assert np.array_equal(a.last.y, b.last.y)
 
 
-def test_trace_schedule(pennies):
-    report = solve(pennies, SolverConfig(epsilon=1e-3, trace_every=100, restart=False))
-    # the run stops at 2001 (see test_matching_pennies_solution), which
-    # adds a final row after the scheduled ones
-    assert [t.iter for t in report.trace] == list(range(100, 2001, 100)) + [2001]
-    report = solve(pennies, SolverConfig(epsilon=1e-3, max_iter=10, trace_every=7, restart=False))
+def test_trace_schedule(kuhn):
+    _, game, _ = kuhn
+    report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
+    # the run stops at 647, which adds a final row after the scheduled ones
+    assert [t.iter for t in report.trace] == list(range(100, 647, 100)) + [647]
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert [t.iter for t in report.trace] == [7, 10]
-    report = solve(pennies, SolverConfig(epsilon=1e-3, max_iter=10, restart=False))
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10))
     assert report.trace == []
 
 
@@ -232,13 +250,18 @@ def test_final_trace_point_matches_report(pennies):
     assert last.neg_q0 == -report.last.q[0]
 
 
-def test_divergence_raises(kuhn):
+@pytest.mark.filterwarnings("error")
+def test_divergence_raises(kuhn, monkeypatch):
+    # an underestimated norm makes lambda too large; overflow surfaces only
+    # as the typed error, never as a numpy warning
     _, game, _ = kuhn
+    fixed_norm(monkeypatch, 1e-200)
     with pytest.raises(DivergenceError) as err:
-        solve(game, SolverConfig(lambda_override=1e200))
+        solve(game)
     assert err.value.iteration == 1
+    fixed_norm(monkeypatch, 1e-8)
     with pytest.raises(DivergenceError) as err:
-        solve(game, SolverConfig(lambda_override=1e8))
+        solve(game)
     assert err.value.iteration == 18
 
 

@@ -124,6 +124,29 @@ def test_index_rejects_broken_system():
         build_treeplex_index(E, np.array([1.0, 0.0]))
 
 
+def test_each_treeplex_is_decoded_once_per_game(kuhn, monkeypatch):
+    import seqform.treeplex as treeplex_module
+
+    calls = []
+    decode = treeplex_module._decode
+    monkeypatch.setattr(treeplex_module, "_decode",
+                        lambda E, e, mat, vec: calls.append(mat) or decode(E, e, mat, vec))
+    game = SequenceFormGame.from_dict(kuhn[1].to_dict())
+    assert validate_sequence_form(game) == []
+    assert validate_sequence_form(game) == []
+    assert (game.index1.player, game.index2.player) == (1, 2)
+    assert calls == ["E1", "E2"]
+    # a broken player still fails the index build with the violations found
+    broken = SequenceFormGame(A=game.A, E1=game.E1, E2=game.E2,
+                              e1=np.zeros(game.l1), e2=game.e2)
+    assert [str(v) for v in validate_sequence_form(broken)] == [
+        "e1 [0]: first entry must be 1, got 0.0"]
+    with pytest.raises(StructureError, match="first entry must be 1"):
+        broken.index1
+    assert broken.index2.player == 2
+    assert calls == ["E1", "E2", "E1", "E2"]
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_topo_orders_parents_first(seed):
@@ -581,6 +604,11 @@ def test_game_from_dict_errors(kuhn):
     with pytest.raises(FileFormatError) as err:
         SequenceFormGame.from_dict(mismatched)
     assert "declared dimensions" in str(err.value)
+    # the dimensions are integers, not a float or a bool that compares equal
+    # (a matrix game has one constraint row per player)
+    for base, key, value in ((doc, "n1", 13.0), (random_matrix_game(2, 3, 0).to_dict(), "l1", True)):
+        with pytest.raises(FileFormatError, match="must be integers"):
+            SequenceFormGame.from_dict(dict(base, **{key: value}))
     bad_vec = dict(doc)
     bad_vec["e1"] = [1.0, "zero"]
     with pytest.raises(FileFormatError):
