@@ -116,10 +116,7 @@ class _Utf8Reader:
         data = self._fh.read()
         if self._hasher is not None:
             self._hasher.update(data)
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(f"game file is not valid UTF-8: {exc}") from None
+        return data.decode("utf-8")
 
 
 def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
@@ -136,6 +133,9 @@ def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
                 doc = json.load(_Utf8Reader(fh, hasher))
             except RecursionError as exc:
                 raise FileFormatError(f"game file nests too deeply: {exc}") from None
+            except ValueError as exc:
+                # bad UTF-8, bad JSON, or an integer literal past Python's digit limit
+                raise FileFormatError(f"game file is not readable JSON: {exc}") from None
         return SequenceFormGame.from_dict(doc)
     finally:
         if enabled:
@@ -183,12 +183,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="target residual (default 1e-4)")
     p.add_argument("--max-iters", type=_positive_int, default=100000,
                    help="iteration budget (default 100000)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the step-size estimator (default 0)")
     p.add_argument("--trace-every", type=_nonnegative_int, default=100,
                    help="record a trace row every N iterations (default 100)")
     p.add_argument("--timing", action="store_true",
                    help="write real elapsed_ms values (costs reproducibility)")
+
+
+def _add_builtin_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
+    p.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
+    p.add_argument("--seed", type=int, default=0, help="seed for random-matrix (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,9 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mk = sub.add_parser("make-game", help="write a built-in game to JSON")
     mk.add_argument("kind", choices=["kuhn", "random-matrix"])
     mk.add_argument("--out", required=True, help="output path for the sequence-form JSON")
-    mk.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
-    mk.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
-    mk.add_argument("--seed", type=int, default=0, help="seed for random-matrix (default 0)")
+    _add_builtin_flags(mk)
     mk.set_defaults(func=cmd_make_game)
 
     va = sub.add_parser("validate", help="check a sequence-form JSON file")
@@ -214,8 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("game", nargs="?", help="path to a sequence-form JSON file")
     so.add_argument("--builtin", choices=["kuhn", "random-matrix"],
                     help="solve a built-in game instead of a file")
-    so.add_argument("--rows", type=_positive_int, help="rows for --builtin random-matrix")
-    so.add_argument("--cols", type=_positive_int, help="cols for --builtin random-matrix")
+    _add_builtin_flags(so)
     _add_solver_flags(so)
     so.add_argument("--report", default="report.json", help="report path (default report.json)")
     so.add_argument("--trace", default="trace.csv", help="trace path (default trace.csv)")
@@ -228,34 +229,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated square sizes, e.g. 100,200")
     be.add_argument("--seeds", type=_int_list, required=True,
                     help="comma-separated seeds, e.g. 0,1,2")
-    be.add_argument("--epsilon", type=_positive_float, default=1e-4)
-    be.add_argument("--max-iters", type=_positive_int, default=100000)
-    be.add_argument("--trace-every", type=_nonnegative_int, default=100)
-    be.add_argument("--timing", action="store_true",
-                    help="write real elapsed_ms values (costs reproducibility)")
+    _add_solver_flags(be)
     be.add_argument("--out-dir", default="bench", help="directory for traces (default bench)")
     be.set_defaults(func=cmd_bench)
     return parser
 
 
+def _builtin_game(kind: str, args):
+    """Build Kuhn poker or the random matrix game; None, after saying why, if a size is missing."""
+    if kind == "kuhn":
+        return to_sequence_form(kuhn_poker())[0]
+    if args.rows is None or args.cols is None:
+        print("error: random-matrix requires --rows and --cols", file=sys.stderr)
+        return None
+    return random_matrix_game(args.rows, args.cols, args.seed)
+
+
 def cmd_make_game(args) -> int:
+    game = _builtin_game(args.kind, args)
+    if game is None:
+        return 2
+    _write_json(args.out, game.to_dict())
+    print(f"wrote {args.out}")
     if args.kind == "kuhn":
-        efg = kuhn_poker()
-        game, _ = to_sequence_form(efg)
-        _write_json(args.out, game.to_dict())
         out = Path(args.out)
         efg_path = out.with_suffix(".efg.json") if out.suffix == ".json" \
             else Path(str(out) + ".efg.json")
-        _write_json(str(efg_path), efg_to_dict(efg))
-        print(f"wrote {args.out}")
+        _write_json(str(efg_path), efg_to_dict(kuhn_poker()))
         print(f"wrote {efg_path}")
-        return 0
-    if args.rows is None or args.cols is None:
-        print("error: random-matrix requires --rows and --cols", file=sys.stderr)
-        return 2
-    game = random_matrix_game(args.rows, args.cols, args.seed)
-    _write_json(args.out, game.to_dict())
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -273,8 +274,7 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
         epsilon=args.epsilon,
         max_iter=args.max_iters,
-        trace_every=args.trace_every,
-        seed=args.seed)
+        trace_every=args.trace_every)
 
 
 def _manifest(args, game_desc: dict) -> dict:
@@ -337,16 +337,13 @@ def cmd_solve(args) -> int:
     if (args.game is None) == (args.builtin is None):
         print("error: give exactly one of a game file or --builtin", file=sys.stderr)
         return 2
-    if args.builtin == "kuhn":
-        game, _ = to_sequence_form(kuhn_poker())
-        game_desc = {"builtin": "kuhn"}
-    elif args.builtin == "random-matrix":
-        if args.rows is None or args.cols is None:
-            print("error: --builtin random-matrix requires --rows and --cols", file=sys.stderr)
+    if args.builtin is not None:
+        game = _builtin_game(args.builtin, args)
+        if game is None:
             return 2
-        game = random_matrix_game(args.rows, args.cols, args.seed)
-        game_desc = {"builtin": "random-matrix", "rows": args.rows,
-                     "cols": args.cols, "seed": args.seed}
+        game_desc = {"builtin": args.builtin}
+        if args.builtin == "random-matrix":
+            game_desc.update(rows=args.rows, cols=args.cols, seed=args.seed)
     else:
         hasher = hashlib.sha256()
         game = _load_game_file(args.game, hasher)
@@ -366,12 +363,10 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["size,seed,converged,iterations,residual,value,duality_gap,elapsed_ms"]
     all_converged = True
+    config = _config_from_args(args)
     for size in args.sizes:
         for seed in args.seeds:
-            game = random_matrix_game(size, size, seed)
-            config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iters,
-                                  trace_every=args.trace_every, seed=seed)
-            report = solve(game, config)
+            report = solve(random_matrix_game(size, size, seed), config)
             trace_path = out_dir / f"trace_{size}x{size}_seed{seed}.csv"
             write_trace_csv(str(trace_path), report.trace, args.timing)
             elapsed_ms = report.elapsed * 1000.0 if args.timing else 0.0
@@ -391,9 +386,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except FileFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

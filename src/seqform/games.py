@@ -293,15 +293,21 @@ def efg_from_dict(doc) -> ExtensiveFormGame:
     if not isinstance(doc, dict) or "root" not in doc:
         raise FileFormatError("extensive-form game must be an object with a 'root'")
 
+    def number(value, what: str) -> float:
+        # type() rather than isinstance(): JSON true and false load as bool
+        if type(value) is not float and type(value) is not int:
+            raise FileFormatError(f"{what} must be a number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise FileFormatError(f"{what} is out of range") from None
+
     def parse(d) -> Node:
         if not isinstance(d, dict) or "type" not in d:
             raise FileFormatError("node must be an object with a 'type'")
         kind = d["type"]
         if kind == "terminal":
-            if "payoff" not in d or isinstance(d["payoff"], bool) \
-                    or not isinstance(d["payoff"], (int, float)):
-                raise FileFormatError("terminal node needs a numeric 'payoff'")
-            return Terminal(float(d["payoff"]))
+            return Terminal(number(d.get("payoff"), "terminal 'payoff'"))
         if kind == "chance":
             outs = d.get("outcomes")
             if not isinstance(outs, list) or not outs:
@@ -310,10 +316,10 @@ def efg_from_dict(doc) -> ExtensiveFormGame:
             for o in outs:
                 if not isinstance(o, dict) or "p" not in o or "child" not in o:
                     raise FileFormatError("chance outcome needs 'p' and 'child'")
-                parsed.append((float(o["p"]), parse(o["child"])))
+                parsed.append((number(o["p"], "chance outcome 'p'"), parse(o["child"])))
             return Chance(tuple(parsed))
         if kind == "decision":
-            if not isinstance(d.get("player"), int) or not isinstance(d.get("infoset"), str):
+            if type(d.get("player")) is not int or not isinstance(d.get("infoset"), str):
                 raise FileFormatError("decision node needs integer 'player' and string 'infoset'")
             acts = d.get("actions")
             if not isinstance(acts, list) or not acts:

@@ -53,14 +53,13 @@ class SolverConfig:
 
     epsilon is the target of the certificate ||v|| / (k * lambda), and
     max_iter caps the number of steps. trace_every > 0 records a
-    TracePoint every that many iterations. seed fixes the start vector
-    of the norm estimate that sets the step size lambda = 1 / ||K||.
+    TracePoint every that many iterations. The step size is not a
+    parameter: init sets lambda = 1 / ||K||.
     """
 
     epsilon: float = 1e-4
     max_iter: int = 100000
     trace_every: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -142,22 +141,21 @@ class SolveReport:
     duality_gap: float
     feas: FeasibilityResiduals
     last: Quadruplet
-    ergodic: Quadruplet
     x_plan: np.ndarray
     y_plan: np.ndarray
     trace: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
-def init(game: SequenceFormGame, start=None, config: Optional[SolverConfig] = None) -> SolverState:
+def init(game: SequenceFormGame, start=None) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
-    start may be a (y, p, x, q) quadruplet; the default is all zeros.
+    lambda = 1 / ||K||, with ||K|| estimated by spectral_norm from its
+    fixed start vector. start may be a (y, p, x, q) quadruplet; the
+    default is all zeros.
     """
-    if config is None:
-        config = SolverConfig()
     K = build_K(game)
-    est = spectral_norm(K, rel_tol=1e-6, max_iter=5000, seed=config.seed)
+    est = spectral_norm(K)
     if not est.converged:
         raise InitializationError(
             f"operator norm estimation did not converge in {est.iterations} iterations")
@@ -288,7 +286,7 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     if config is None:
         config = SolverConfig()
     t0 = time.perf_counter()
-    state = init(game, None, config)
+    state = init(game)
     trace: list[TracePoint] = []
     steps = 0
     while True:
@@ -329,7 +327,6 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         duality_gap=gap,
         feas=feas,
         last=state.blocks(state.z.copy()),
-        ergodic=ergodic_average(state),
         x_plan=x_plan,
         y_plan=y_plan,
         trace=trace,

@@ -143,10 +143,11 @@ class SequenceFormGame:
         labels = doc.get("labels")
         if labels is not None and not isinstance(labels, dict):
             raise FileFormatError("'labels' must be an object when present")
-        return cls(A=A, E1=E1, E2=E2,
-                   e1=np.array(doc["e1"], dtype=np.float64),
-                   e2=np.array(doc["e2"], dtype=np.float64),
-                   labels=labels)
+        try:
+            e1, e2 = (np.array(doc[vec], dtype=np.float64) for vec in ("e1", "e2"))
+        except OverflowError as exc:
+            raise FileFormatError(f"'e1' or 'e2' holds a number out of range: {exc}") from None
+        return cls(A=A, E1=E1, E2=E2, e1=e1, e2=e2, labels=labels)
 
 
 @dataclass(frozen=True)

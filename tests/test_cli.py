@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import seqform
-from seqform import efg_from_dict, random_matrix_game, to_sequence_form
+from seqform import FileFormatError, efg_from_dict, random_matrix_game, to_sequence_form
 from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
                          render_json, write_trace_csv)
 from seqform.solver import TracePoint
@@ -152,6 +152,19 @@ def test_game_file_not_utf8_is_parse_error(tmp_path, capsys, monkeypatch, comman
     assert capsys.readouterr().err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_numbers_past_python_limits_are_parse_errors(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(random_matrix_game(3, 2, 5).to_dict())
+    assert '"e1": [1.0]' in text
+    # more digits than int() reads, and an integer past the largest double
+    for number in ("1" * 5000, "1" + "0" * 400):
+        (tmp_path / "big.json").write_text(text.replace('"e1": [1.0]', f'"e1": [{number}]'),
+                                           encoding="utf-8")
+        assert main([command, "big.json"]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+
 def test_load_game_file_hashes_the_bytes_it_parses(tmp_path):
     path = tmp_path / "game.json"
     doc = random_matrix_game(3, 2, 5).to_dict()
@@ -251,6 +264,19 @@ def test_solve_game_file_records_hash(tmp_path):
     doc = json.loads(read(tmp_path / "report.json"))
     digest = hashlib.sha256(game_path.read_bytes()).hexdigest()
     assert doc["manifest"]["game"] == {"path": str(game_path), "sha256": digest}
+
+
+def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch):
+    # the built-in game solves exactly like the same game read from a file
+    monkeypatch.chdir(tmp_path)
+    size = ["--rows", "8", "--cols", "8", "--seed", "3"]
+    assert main(["make-game", "random-matrix", *size, "--out", "rm.json"]) == 0
+    runs = []
+    for source in (["--builtin", "random-matrix", *size], ["rm.json"]):
+        assert main(["solve", *source, "--epsilon", "1e-2"]) == 0
+        runs.append((read(tmp_path / "trace.csv"),
+                     json.loads(read(tmp_path / "report.json"))["lambda"]))
+    assert runs[0] == runs[1]
 
 
 def test_solve_source_conflicts(tmp_path, capsys):
@@ -361,7 +387,7 @@ def test_load_game_file_restores_the_collector(tmp_path, monkeypatch):
             (gc.enable if enabled else gc.disable)()
             assert _load_game_file(str(good)).A.shape == (3, 2)
             assert gc.isenabled() == enabled
-            with pytest.raises(json.JSONDecodeError):
+            with pytest.raises(FileFormatError):
                 _load_game_file(str(bad))
             assert gc.isenabled() == enabled
     finally:

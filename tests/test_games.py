@@ -200,6 +200,15 @@ def test_efg_dict_round_trip(kuhn):
     {"root": {"type": "decision", "player": 1, "infoset": "s", "actions": []}},
     {"root": {"type": "decision", "player": 1, "infoset": "s",
               "actions": [{"child": {"type": "terminal", "payoff": 0}}]}},
+    {"root": {"type": "chance",
+              "outcomes": [{"p": "abc", "child": {"type": "terminal", "payoff": 0}}]}},
+    {"root": {"type": "chance",
+              "outcomes": [{"p": [1], "child": {"type": "terminal", "payoff": 0}}]}},
+    {"root": {"type": "chance",
+              "outcomes": [{"p": True, "child": {"type": "terminal", "payoff": 0}}]}},
+    {"root": {"type": "decision", "player": True, "infoset": "s",
+              "actions": [{"label": "a", "child": {"type": "terminal", "payoff": 0}}]}},
+    {"root": {"type": "terminal", "payoff": 10 ** 400}},
 ])
 def test_efg_from_dict_rejects_malformed(doc):
     with pytest.raises(FileFormatError):

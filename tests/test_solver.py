@@ -54,7 +54,7 @@ def test_config_validation():
         SolverConfig(trace_every=-1)
     # one schedule and one step size: nothing else is configurable
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "epsilon", "max_iter", "trace_every", "seed"]
+        "epsilon", "max_iter", "trace_every"]
 
 
 def test_init_state(trivial_game):
