@@ -12,15 +12,15 @@ from .games import (Chance, Decision, ExtensiveFormGame, SequenceMap, Terminal,
 from .solver import (Quadruplet, SolveReport, SolverConfig, SolverState,
                      TracePoint, ergodic_average, init, residual, solve, step)
 from .sparse import SparseMatrix, SpectralEstimate, build_K, spectral_norm
-from .treeplex import (BestResponse, FeasibilityResiduals, RealizationPlan,
-                       SequenceFormGame, TreeplexIndex, Violation,
-                       best_response, build_treeplex_index, duality_gap,
+from .treeplex import (BestResponse, FeasibilityResiduals, SequenceFormGame,
+                       TreeplexIndex, Violation, best_response,
+                       build_treeplex_index, duality_gap,
                        feasibility_residuals, normalize_to_polytope,
                        simplex_gap, validate_sequence_form)
 
 __all__ = [
     "SparseMatrix", "SpectralEstimate", "spectral_norm", "build_K",
-    "SequenceFormGame", "TreeplexIndex", "RealizationPlan", "BestResponse",
+    "SequenceFormGame", "TreeplexIndex", "BestResponse",
     "FeasibilityResiduals", "Violation", "validate_sequence_form",
     "build_treeplex_index", "best_response", "duality_gap", "simplex_gap",
     "feasibility_residuals", "normalize_to_polytope",

@@ -283,14 +283,12 @@ def _manifest(args, game_desc: dict) -> dict:
         "flags": {
             "epsilon": args.epsilon,
             "max_iters": args.max_iters,
-            "seed": args.seed,
             "trace_every": args.trace_every,
             "timing": args.timing,
             "report": args.report,
             "trace": args.trace,
             "strategies": args.strategies,
         },
-        "seed": args.seed,
         "game": game_desc,
         "version": __version__,
     }

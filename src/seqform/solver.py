@@ -33,6 +33,7 @@ a loop over init, step and residual.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -62,6 +63,13 @@ class SolverConfig:
     trace_every: int = 0
 
     def __post_init__(self):
+        # bool is an int subclass, so True would otherwise pass as 1
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise TypeError("epsilon must be a number")
+        for name in ("max_iter", "trace_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1:
@@ -86,7 +94,7 @@ class SolverState:
     place; y, p, x and q are views into it. g = K^T w is carried across
     steps. c = (0, e1, 0, e2) is the constant part of the update. v
     accumulates every change of z, z_sum every iterate, and z0 is the
-    start.
+    start. k counts the steps since the last restart, steps all of them.
     """
 
     K: SparseMatrix
@@ -100,6 +108,7 @@ class SolverState:
     k: int
     lam: float
     norm_K: float
+    steps: int
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
@@ -178,7 +187,7 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
         K=K, z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), c=c,
         v=np.zeros(z0.size), z_sum=np.zeros(z0.size), z0=z0,
         bounds=tuple(accumulate(shapes[:3])),
-        k=0, lam=1.0 / est.value, norm_K=est.value)
+        k=0, lam=1.0 / est.value, norm_K=est.value, steps=0)
 
 
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
@@ -205,9 +214,10 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
         z[:] = z1
         state.z_sum += z
         state.k += 1
+        state.steps += 1
     if not np.all(np.isfinite(z)):
         raise DivergenceError(
-            f"non-finite value in iterate at iteration {state.k}", iteration=state.k)
+            f"non-finite value in iterate at iteration {state.steps}", iteration=state.steps)
     return state
 
 
@@ -235,18 +245,18 @@ def _evaluate(state: SolverState, game: SequenceFormGame):
     feasibility residuals of the last iterate.
     """
     avg = ergodic_average(state)
-    x_plan = normalize_to_polytope(game.index1, avg.x).values
-    y_plan = normalize_to_polytope(game.index2, avg.y).values
+    x_plan = normalize_to_polytope(game.index1, avg.x)
+    y_plan = normalize_to_polytope(game.index2, avg.y)
     return (x_plan, y_plan, expected_value(game, x_plan, y_plan),
             duality_gap(game, x_plan, y_plan), feasibility_residuals(game, state.x, state.y))
 
 
-def _trace_point(state, game, t0, iteration, res):
-    """Return the TracePoint after `iteration` steps and the evaluation it shows."""
+def _trace_point(state, game, t0, res):
+    """Return the TracePoint after state.steps steps and the evaluation it shows."""
     evaluation = _evaluate(state, game)
     _, _, value, gap, feas = evaluation
     point = TracePoint(
-        iter=iteration, residual=res, duality_gap=gap, value=value,
+        iter=state.steps, residual=res, duality_gap=gap, value=value,
         p0=float(state.p[0]), neg_q0=float(-state.q[0]),
         feas_x=feas.feas_x, feas_y=feas.feas_y, min_x=feas.min_x, min_y=feas.min_y,
         elapsed=time.perf_counter() - t0)
@@ -257,7 +267,7 @@ def _restart(state: SolverState) -> None:
     """Restart the averaging in place from the ergodic average.
 
     The result is the state init would build from that start, without
-    rebuilding K or estimating its norm again.
+    rebuilding K or estimating its norm again, and steps keeps counting.
     """
     state.z0 = state.z_sum / state.k
     state.z[:] = state.z0
@@ -288,29 +298,22 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     t0 = time.perf_counter()
     state = init(game)
     trace: list[TracePoint] = []
-    steps = 0
     while True:
-        try:
-            step(state, game)
-        except DivergenceError:
-            # step numbers the steps since the last restart; report them all
-            raise DivergenceError(f"non-finite value in iterate at iteration {steps + 1}",
-                                  iteration=steps + 1) from None
-        steps += 1
+        step(state, game)
         res = residual(state)
-        if config.trace_every and steps % config.trace_every == 0:
-            point, evaluation = _trace_point(state, game, t0, steps, res)
+        if config.trace_every and state.steps % config.trace_every == 0:
+            point, evaluation = _trace_point(state, game, t0, res)
             trace.append(point)
-        if res < config.epsilon or steps >= config.max_iter:
+        if res < config.epsilon or state.steps >= config.max_iter:
             break
-        if steps == 1:
+        if state.steps == 1:
             reference = res
         elif res <= 0.5 * reference:
             _restart(state)
             reference = res
-    if not trace or trace[-1].iter != steps:
+    if not trace or trace[-1].iter != state.steps:
         if config.trace_every:
-            point, evaluation = _trace_point(state, game, t0, steps, res)
+            point, evaluation = _trace_point(state, game, t0, res)
             trace.append(point)
         else:
             evaluation = _evaluate(state, game)
@@ -318,7 +321,7 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     x_plan, y_plan, value, gap, feas = evaluation
     return SolveReport(
         converged=res < config.epsilon,
-        iterations=steps,
+        iterations=state.steps,
         epsilon=config.epsilon,
         lam=state.lam,
         norm_K=state.norm_K,

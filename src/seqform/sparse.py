@@ -172,6 +172,9 @@ class SparseMatrix:
             return cls(rows, cols, items)
         except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"bad sparse matrix: {exc}") from None
+        except MemoryError as exc:
+            # a declared shape too large to allocate, refused before any memory is taken
+            raise FileFormatError(f"sparse matrix shape {rows}x{cols} is too large: {exc}") from None
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

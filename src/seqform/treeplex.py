@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -95,11 +95,11 @@ class SequenceFormGame:
 
     @functools.cached_property
     def index1(self) -> "TreeplexIndex":
-        return _checked_index(*self._decoded[0], player=1)
+        return _checked_index(*self._decoded[0])
 
     @functools.cached_property
     def index2(self) -> "TreeplexIndex":
-        return _checked_index(*self._decoded[1], player=2)
+        return _checked_index(*self._decoded[1])
 
     def to_dict(self) -> dict:
         doc = {
@@ -164,7 +164,6 @@ class TreeplexIndex:
     parent_seq: tuple
     children: tuple
     topo: tuple
-    player: Optional[int] = None
 
     @property
     def num_infosets(self) -> int:
@@ -215,17 +214,9 @@ class TreeplexLevel(NamedTuple):
     owner: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RealizationPlan:
-    """A point of a player's strategy polytope."""
-
-    values: np.ndarray
-    player: Optional[int] = None
-
-
 class BestResponse(NamedTuple):
     value: float
-    plan: RealizationPlan
+    plan: np.ndarray
 
 
 class FeasibilityResiduals(NamedTuple):
@@ -319,15 +310,15 @@ def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:
     return out
 
 
-def _checked_index(viols: list[Violation], index, player: Optional[int]) -> TreeplexIndex:
+def _checked_index(viols: list[Violation], index) -> TreeplexIndex:
     if viols:
         raise StructureError("; ".join(str(v) for v in viols))
-    return replace(index, player=player)
+    return index
 
 
-def build_treeplex_index(E: SparseMatrix, e, player: Optional[int] = None) -> TreeplexIndex:
+def build_treeplex_index(E: SparseMatrix, e) -> TreeplexIndex:
     """Compile one player's constraints into a traversable index."""
-    return _checked_index(*_decode(E, e, "E", "e"), player=player)
+    return _checked_index(*_decode(E, e, "E", "e"))
 
 
 def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestResponse:
@@ -367,10 +358,10 @@ def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestRes
         for level, choice in zip(index.levels, reversed(choices)):
             plan[choice] = plan[level.parents]
     value = float(np.dot(g, plan))
-    return BestResponse(value, RealizationPlan(plan, index.player))
+    return BestResponse(value, plan)
 
 
-def normalize_to_polytope(index: TreeplexIndex, z) -> RealizationPlan:
+def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
     """Project a nonnegative-clipped vector back onto the polytope.
 
     Clips negatives, pins the root to one, and rescales each information
@@ -389,10 +380,8 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> RealizationPlan:
     if index.simplex:
         s = float(w.sum())
         if s > 0.0:
-            out = w / s
-        else:
-            out = np.full(index.num_sequences, 1.0 / index.num_sequences)
-        return RealizationPlan(out, index.player)
+            return w / s
+        return np.full(index.num_sequences, 1.0 / index.num_sequences)
     out = np.zeros(index.num_sequences)
     out[0] = 1.0
     for level in index.levels:
@@ -404,7 +393,7 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> RealizationPlan:
         scale = mass / np.where(spread, total, 1.0)
         out[level.seqs] = np.where(spread[level.owner], part * scale[level.owner],
                                    (mass / level.sizes)[level.owner])
-    return RealizationPlan(out, index.player)
+    return out
 
 
 def feasibility_residuals(game: SequenceFormGame, x, y) -> FeasibilityResiduals:

@@ -165,6 +165,19 @@ def test_numbers_past_python_limits_are_parse_errors(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_matrix_too_large_to_allocate_is_parse_error(tmp_path, capsys, monkeypatch, command):
+    # an index array of 8 PB exceeds any address space: numpy refuses it at once
+    monkeypatch.chdir(tmp_path)
+    doc = random_matrix_game(3, 2, 5).to_dict()
+    for key in ("rows", "cols"):
+        (tmp_path / "big.json").write_text(
+            json.dumps(dict(doc, A=dict(doc["A"], **{key: 10 ** 15}))), encoding="utf-8")
+        assert main([command, "big.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "too large" in err
+
+
 def test_load_game_file_hashes_the_bytes_it_parses(tmp_path):
     path = tmp_path / "game.json"
     doc = random_matrix_game(3, 2, 5).to_dict()
@@ -219,7 +232,7 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert doc["manifest"]["game"] == {"builtin": "kuhn"}
     assert doc["manifest"]["version"] == "0.1.0"
     assert doc["manifest"]["flags"] == {
-        "epsilon": 0.01, "max_iters": 100000, "seed": 0, "trace_every": 100,
+        "epsilon": 0.01, "max_iters": 100000, "trace_every": 100,
         "timing": False, "report": str(tmp_path / "report.json"),
         "trace": str(tmp_path / "trace.csv"),
         "strategies": str(tmp_path / "s.json")}
@@ -277,6 +290,27 @@ def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch):
         runs.append((read(tmp_path / "trace.csv"),
                      json.loads(read(tmp_path / "report.json"))["lambda"]))
     assert runs[0] == runs[1]
+
+
+def seed_keys(doc, where=""):
+    """Every place a key named seed appears in a JSON document, as dotted paths."""
+    if not isinstance(doc, dict):
+        return []
+    return [f"{where}{key}" for key in doc if key == "seed"] + [
+        path for key, value in doc.items() for path in seed_keys(value, f"{where}{key}.")]
+
+
+def test_manifest_records_only_a_seed_that_picked_the_game(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-game", "kuhn", "--out", "kuhn.json"]) == 0
+    # a file solve ignores the built-in game's flags, so it records none of them
+    assert main(["solve", "kuhn.json", "--seed", "3", "--rows", "9", "--epsilon", "1e-2"]) == 0
+    assert seed_keys(json.loads(read(tmp_path / "report.json"))) == []
+    assert main(["solve", "--builtin", "random-matrix", "--rows", "4", "--cols", "3",
+                 "--seed", "3", "--epsilon", "1e-2"]) == 0
+    doc = json.loads(read(tmp_path / "report.json"))
+    assert seed_keys(doc) == ["manifest.game.seed"]
+    assert doc["manifest"]["game"] == {"builtin": "random-matrix", "rows": 4, "cols": 3, "seed": 3}
 
 
 def test_solve_source_conflicts(tmp_path, capsys):

@@ -40,8 +40,8 @@ def plain_iteration(game, epsilon):
 
 def averaged_plans(state, game):
     avg = ergodic_average(state)
-    return (normalize_to_polytope(game.index1, avg.x).values,
-            normalize_to_polytope(game.index2, avg.y).values)
+    return (normalize_to_polytope(game.index1, avg.x),
+            normalize_to_polytope(game.index2, avg.y))
 
 
 def test_config_validation():
@@ -52,6 +52,12 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(trace_every=-1)
+    # a fraction or a bool is not a count, and a bool is not a tolerance
+    for bad in ({"max_iter": 2.5}, {"trace_every": 1.5}, {"max_iter": True},
+                {"trace_every": False}, {"epsilon": True}, {"epsilon": "1e-4"}):
+        with pytest.raises(TypeError):
+            SolverConfig(**bad)
+    SolverConfig(epsilon=np.float64(1e-3), max_iter=np.int64(5), trace_every=np.int32(1))
     # one schedule and one step size: nothing else is configurable
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "epsilon", "max_iter", "trace_every"]

@@ -1,5 +1,6 @@
 """Strategy polytopes: validation, indexing, best response, normalization."""
 
+import dataclasses
 import time
 import warnings
 
@@ -88,13 +89,18 @@ def test_payoff_shape_violations(kuhn):
 
 def test_simplex_index():
     E = SparseMatrix(1, 4, [(0, j, 1.0) for j in range(4)])
-    index = build_treeplex_index(E, np.ones(1), player=2)
+    index = build_treeplex_index(E, np.ones(1))
     assert index.simplex
     assert index.num_sequences == 4
     assert index.num_infosets == 1
     assert index.children == ((0, 1, 2, 3),)
     assert index.parent_seq == (None,)
-    assert index.player == 2
+
+
+def test_index_fields():
+    # the index describes the tree alone: nothing names its player
+    assert [f.name for f in dataclasses.fields(TreeplexIndex)] == [
+        "num_sequences", "simplex", "parent_seq", "children", "topo"]
 
 
 def test_two_level_index():
@@ -134,7 +140,8 @@ def test_each_treeplex_is_decoded_once_per_game(kuhn, monkeypatch):
     game = SequenceFormGame.from_dict(kuhn[1].to_dict())
     assert validate_sequence_form(game) == []
     assert validate_sequence_form(game) == []
-    assert (game.index1.player, game.index2.player) == (1, 2)
+    # each index is the object the decoder built: one per player
+    assert game.index1 is game._decoded[0][1] and game.index2 is game._decoded[1][1]
     assert calls == ["E1", "E2"]
     # a broken player still fails the index build with the violations found
     broken = SequenceFormGame(A=game.A, E1=game.E1, E2=game.E2,
@@ -143,7 +150,7 @@ def test_each_treeplex_is_decoded_once_per_game(kuhn, monkeypatch):
         "e1 [0]: first entry must be 1, got 0.0"]
     with pytest.raises(StructureError, match="first entry must be 1"):
         broken.index1
-    assert broken.index2.player == 2
+    assert broken.index2 is broken._decoded[1][1]
     assert calls == ["E1", "E2", "E1", "E2"]
 
 
@@ -250,14 +257,14 @@ def _ref_player_violations(E, e, mat, vec):
     return out
 
 
-def _ref_build_treeplex_index(E, e, player=None):
+def _ref_build_treeplex_index(E, e):
     viols = _ref_player_violations(E, np.asarray(e, dtype=np.float64), "E", "e")
     if viols:
         raise StructureError("; ".join(str(v) for v in viols))
     n = E.cols
     if _ref_is_simplex_row(E):
         return TreeplexIndex(num_sequences=n, simplex=True, parent_seq=(None,),
-                             children=(tuple(range(n)),), topo=(0,), player=player)
+                             children=(tuple(range(n)),), topo=(0,))
     entries = _ref_nonzero_triplets(E)
     num_infosets = E.rows - 1
     parent_seq = [0] * num_infosets
@@ -290,8 +297,7 @@ def _ref_build_treeplex_index(E, e, player=None):
         row_depth(r)
     topo = tuple(sorted(range(num_infosets), key=lambda i: (depth[i + 1], i)))
     return TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
-                         children=tuple(tuple(cs) for cs in children), topo=topo,
-                         player=player)
+                         children=tuple(tuple(cs) for cs in children), topo=topo)
 
 
 def _corrupt(rng, E, e):
@@ -331,13 +337,13 @@ def test_decoder_matches_reference(seed, corruptions):
     expected = _ref_player_violations(E, e, "E1", "e1") + _ref_player_violations(E, e, "E2", "e2")
     assert [str(v) for v in validate_sequence_form(game)] == [str(v) for v in expected]
     try:
-        want = _ref_build_treeplex_index(E, e, player=1)
+        want = _ref_build_treeplex_index(E, e)
     except StructureError as exc:
         with pytest.raises(StructureError) as err:
-            build_treeplex_index(E, e, player=1)
+            build_treeplex_index(E, e)
         assert str(err.value) == str(exc)
         return
-    assert build_treeplex_index(E, e, player=1) == want
+    assert build_treeplex_index(E, e) == want
 
 
 def test_validation_and_index_run_in_linear_time():
@@ -367,17 +373,17 @@ def test_best_response_simplex():
     index = build_treeplex_index(E, np.ones(1))
     br = best_response(index, [1.0, 3.0, 2.0], "max")
     assert br.value == 3.0
-    assert np.array_equal(br.plan.values, [0.0, 1.0, 0.0])
+    assert np.array_equal(br.plan, [0.0, 1.0, 0.0])
     br = best_response(index, [1.0, 3.0, 2.0], "min")
     assert br.value == 1.0
-    assert np.array_equal(br.plan.values, [1.0, 0.0, 0.0])
+    assert np.array_equal(br.plan, [1.0, 0.0, 0.0])
 
 
 def test_best_response_tie_takes_lowest_index():
     E = SparseMatrix(1, 3, [(0, j, 1.0) for j in range(3)])
     index = build_treeplex_index(E, np.ones(1))
     br = best_response(index, [2.0, 0.0, 2.0], "max")
-    assert np.array_equal(br.plan.values, [1.0, 0.0, 0.0])
+    assert np.array_equal(br.plan, [1.0, 0.0, 0.0])
 
 
 def test_best_response_two_level():
@@ -387,10 +393,10 @@ def test_best_response_two_level():
     br = best_response(index, g, "max")
     # seq 1 plus the nested infoset is worth 1 + 10, beating seq 2's 5
     assert br.value == 11.0
-    assert np.array_equal(br.plan.values, [1.0, 1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(br.plan, [1.0, 1.0, 0.0, 1.0, 0.0])
     br = best_response(index, g, "min")
     assert br.value == 3.0
-    assert np.array_equal(br.plan.values, [1.0, 1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(br.plan, [1.0, 1.0, 0.0, 0.0, 1.0])
 
 
 def test_best_response_leaves_gradient_alone():
@@ -423,17 +429,17 @@ def test_best_response_against_folding_kuhn_opponent(kuhn):
 def test_normalize_simplex():
     E = SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)])
     index = build_treeplex_index(E, np.ones(1))
-    assert np.array_equal(normalize_to_polytope(index, [0.2, 0.2]).values, [0.5, 0.5])
-    assert np.array_equal(normalize_to_polytope(index, [-1.0, 3.0]).values, [0.0, 1.0])
-    assert np.array_equal(normalize_to_polytope(index, [0.0, 0.0]).values, [0.5, 0.5])
+    assert np.array_equal(normalize_to_polytope(index, [0.2, 0.2]), [0.5, 0.5])
+    assert np.array_equal(normalize_to_polytope(index, [-1.0, 3.0]), [0.0, 1.0])
+    assert np.array_equal(normalize_to_polytope(index, [0.0, 0.0]), [0.5, 0.5])
 
 
 def test_normalize_tree():
     E, e = two_level_treeplex()
     index = build_treeplex_index(E, e)
-    out = normalize_to_polytope(index, [7.0, 2.0, 2.0, 0.0, 0.0]).values
+    out = normalize_to_polytope(index, [7.0, 2.0, 2.0, 0.0, 0.0])
     assert np.array_equal(out, [1.0, 0.5, 0.5, 0.25, 0.25])
-    out = normalize_to_polytope(index, [1.0, -3.0, 1.0, 1.0, 3.0]).values
+    out = normalize_to_polytope(index, [1.0, -3.0, 1.0, 1.0, 3.0])
     assert np.array_equal(out, [1.0, 0.0, 1.0, 0.0, 0.0])
 
 
@@ -451,7 +457,7 @@ def test_normalize_always_feasible(seed):
     E, e = random_treeplex(rng)
     index = build_treeplex_index(E, e)
     z = rng.standard_normal(index.num_sequences) * 3.0
-    out = normalize_to_polytope(index, z).values
+    out = normalize_to_polytope(index, z)
     assert np.min(out) >= 0.0
     assert np.max(np.abs(E.matvec(out) - e)) <= 1e-12
 
@@ -463,10 +469,10 @@ def test_best_response_dominates_feasible_points(seed):
     E, e = random_treeplex(rng)
     index = build_treeplex_index(E, e)
     g = rng.standard_normal(index.num_sequences)
-    z = normalize_to_polytope(index, rng.random(index.num_sequences)).values
+    z = normalize_to_polytope(index, rng.random(index.num_sequences))
     hi = best_response(index, g, "max")
     lo = best_response(index, g, "min")
-    assert np.max(np.abs(E.matvec(hi.plan.values) - e)) == 0.0
+    assert np.max(np.abs(E.matvec(hi.plan) - e)) == 0.0
     assert hi.value >= float(np.dot(g, z)) - 1e-12
     assert lo.value <= float(np.dot(g, z)) + 1e-12
 
@@ -531,10 +537,10 @@ def test_sweeps_match_reference(seed):
             br = best_response(index, g, sense)
             value, plan = _reference_best_response(index, g, sense)
             assert br.value == value
-            assert np.array_equal(br.plan.values, plan)
+            assert np.array_equal(br.plan, plan)
     z = rng.standard_normal(n)
     z[rng.random(n) < 0.3] = 0.0  # some sets with no positive entry split their mass evenly
-    assert np.array_equal(normalize_to_polytope(index, z).values, _reference_normalize(index, z))
+    assert np.array_equal(normalize_to_polytope(index, z), _reference_normalize(index, z))
 
 
 def test_feasibility_residuals_exact(kuhn):
@@ -568,8 +574,8 @@ def test_duality_gap_warns_on_infeasible_input():
 def test_duality_gap_matches_simplex_shortcut():
     game = random_matrix_game(5, 7, seed=4)
     rng = np.random.default_rng(1)
-    x = normalize_to_polytope(game.index1, rng.random(5)).values
-    y = normalize_to_polytope(game.index2, rng.random(7)).values
+    x = normalize_to_polytope(game.index1, rng.random(5))
+    y = normalize_to_polytope(game.index2, rng.random(7))
     gap = duality_gap(game, x, y)
     assert gap == simplex_gap(game.A, x, y)
     assert gap >= 0.0
