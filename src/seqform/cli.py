@@ -328,7 +328,8 @@ def _strategies_dict(report: SolveReport) -> dict:
 def _summary_line(report: SolveReport) -> str:
     word = "converged" if report.converged else "not converged"
     return (f"{word} iterations={report.iterations} residual={report.residual:.6g} "
-            f"value={report.value:.6g} gap={report.duality_gap:.6g}")
+            f"value={report.value:.6g} gap={report.duality_gap:.6g} "
+            f"restarts={len(report.restarts)}")
 
 
 def cmd_solve(args) -> int:

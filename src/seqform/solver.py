@@ -20,14 +20,15 @@ rounding accuracy; the guarantee needs lambda <= 1 / ||K||.
 On its own the certificate falls like d0 * ||K|| / k, d0 being the
 distance from the start to a solution. solve therefore restarts the
 averaging (Applegate, Hinder, Lu, Lubin, arXiv 2105.12715): whenever
-the certificate has halved since the last restart, the ergodic average
-of the steps since that restart becomes the new start point, and v, the
-running sum and k start again from zero. Each window between restarts
-is a fresh run of the same method, so the certificate, the averages and
-everything computed from them cover the steps since the last restart.
-Sequence-form zero-sum games are linear programs, on which restarted
-averaging converges linearly. The plain iteration without restarts is
-a loop over init, step and residual.
+the certificate has fallen to a fifth of its reference, PDLP's
+sufficient-decay factor of 0.2 (Applegate et al., arXiv 2106.04756),
+the ergodic average of the steps since the last restart becomes the new
+start point, and v, the running sum and k start again from zero. Each
+window between restarts is a fresh run of the same method, so the
+certificate, the averages and everything computed from them cover the
+steps since the last restart. Sequence-form zero-sum games are linear
+programs, on which restarted averaging converges linearly. The plain
+iteration without restarts is a loop over init, step and residual.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ class SolveReport:
     x_plan: np.ndarray
     y_plan: np.ndarray
     trace: list = field(default_factory=list)
+    restarts: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
@@ -227,7 +229,7 @@ def residual(state: SolverState) -> float:
         raise ValueError("residual is undefined before the first iteration")
     # overflow surfaces as the divergence error step raises, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(state.v) / (state.k * state.lam))
+        return math.sqrt(state.v @ state.v) / (state.k * state.lam)
 
 
 def ergodic_average(state: SolverState) -> Quadruplet:
@@ -280,24 +282,26 @@ def _restart(state: SolverState) -> None:
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
     """Iterate until the residual drops below epsilon or max_iter is hit.
 
-    The averaging restarts whenever the residual is at most half the
-    reference, is still at or above epsilon, and another step is
-    allowed; the reference is the residual after the first step and
-    then the residual at each restart. iterations and
-    TracePoint.iter count every step; the residual, the ergodic
-    averages and the value and duality gap computed from them cover the
-    steps since the last restart. Reported value and duality gap are
-    computed from the ergodic averages pushed back onto the strategy
-    polytopes; the feasibility residuals describe the last iterate.
-    With trace_every > 0 a TracePoint is recorded every trace_every
-    iterations, before a restart on the same step, and at the final
-    one.
+    The averaging restarts whenever the residual is at most 0.2 times
+    the reference (PDLP's sufficient-decay factor), is still at or above
+    epsilon, and another step is allowed; the reference is the residual
+    after the first step and then the residual at each restart.
+    restarts lists the steps at which the averaging restarted.
+    iterations and TracePoint.iter count every step; the residual, the
+    ergodic averages and the value and duality gap computed from them
+    cover the steps since the last restart. Reported value and duality
+    gap are computed from the ergodic averages pushed back onto the
+    strategy polytopes; the feasibility residuals describe the last
+    iterate. With trace_every > 0 a TracePoint is recorded every
+    trace_every iterations, before a restart on the same step, and at
+    the final one.
     """
     if config is None:
         config = SolverConfig()
     t0 = time.perf_counter()
     state = init(game)
     trace: list[TracePoint] = []
+    restarts: list[int] = []
     while True:
         step(state, game)
         res = residual(state)
@@ -308,8 +312,9 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             break
         if state.steps == 1:
             reference = res
-        elif res <= 0.5 * reference:
+        elif res <= 0.2 * reference:
             _restart(state)
+            restarts.append(state.steps)
             reference = res
     if not trace or trace[-1].iter != state.steps:
         if config.trace_every:
@@ -333,4 +338,5 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         x_plan=x_plan,
         y_plan=y_plan,
         trace=trace,
+        restarts=restarts,
         elapsed=time.perf_counter() - t0)

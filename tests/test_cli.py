@@ -339,6 +339,18 @@ def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("divergence:")
 
 
+def test_summary_line_counts_restarts(tmp_path, capsys):
+    args = ["solve", "--builtin", "kuhn", "--epsilon", "1e-4",
+            "--report", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+    assert main(args) == 0
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith("converged iterations=398 ")
+    assert summary.endswith(" restarts=5")
+    assert main([*args, "--max-iters", "36"]) == 3
+    # the rule fires on step 36, but a capped run stops before restarting
+    assert capsys.readouterr().out.strip().endswith(" restarts=0")
+
+
 def test_solve_invalid_game_exit_code(tmp_path, capsys):
     out = tmp_path / "kuhn.json"
     main(["make-game", "kuhn", "--out", str(out)])

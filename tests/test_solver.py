@@ -164,6 +164,25 @@ def test_residual_arithmetic(trivial_game):
     assert residual(state) == 1.0
 
 
+def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies):
+    rng = np.random.default_rng(3)
+    states = []
+    for game in (kuhn[1], pennies, random_matrix_game(7, 5, seed=1)):
+        state = init(game)
+        for _ in range(13):
+            step(state, game)
+        states.append(state)
+    state = init(pennies)
+    state.k = 3
+    for scale in (1e-150, 1.0, 1e150):
+        state.v = scale * rng.standard_normal(state.v.size)
+        states.append(dataclasses.replace(state))
+    for state in states:
+        got = residual(state)
+        assert type(got) is float
+        assert got == float(np.linalg.norm(state.v) / (state.k * state.lam))
+
+
 def test_ergodic_average_is_running_mean(pennies):
     state = init(pennies)
     with pytest.raises(ValueError):
@@ -236,8 +255,9 @@ def test_solve_is_deterministic():
 def test_trace_schedule(kuhn):
     _, game, _ = kuhn
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    # the run stops at 647, which adds a final row after the scheduled ones
-    assert [t.iter for t in report.trace] == list(range(100, 647, 100)) + [647]
+    # the run stops at 398, which adds a final row after the scheduled ones;
+    # it stopped at 647 before the restart factor moved from 1/2 to 1/5
+    assert [t.iter for t in report.trace] == [100, 200, 300, 398]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert [t.iter for t in report.trace] == [7, 10]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10))
@@ -312,6 +332,7 @@ def test_restart_contract(kuhn, monkeypatch):
     assert report.converged
     assert calls["norm"] == 1
     assert restart_steps and report.iterations == calls["steps"] < 5000
+    assert report.restarts == restart_steps == [36, 112, 191, 249, 324]
     assert [t.iter for t in report.trace] == list(range(1, report.iterations + 1))
 
     # a cap on a step where the rule fires stops before restarting
@@ -335,3 +356,20 @@ def test_restart_contract(kuhn, monkeypatch):
     with pytest.raises(DivergenceError) as err:
         solve(game, SolverConfig(epsilon=1e-4))
     assert err.value.iteration == first + 5
+
+
+def test_restart_rule_is_a_fall_to_a_fifth(kuhn):
+    # the reference is the residual after step 1, then at each restart step;
+    # a window restarts at its first step whose residual is at most 0.2 times
+    # the reference
+    _, game, _ = kuhn
+    report = solve(game, SolverConfig(epsilon=1e-4, trace_every=1))
+    res = [None] + [t.residual for t in report.trace]
+    assert report.converged and report.restarts
+    starts = [1] + report.restarts
+    ends = report.restarts + [report.iterations]
+    for start, end in zip(starts, ends):
+        reference = res[start]
+        assert all(res[k] > 0.2 * reference for k in range(start + 1, end))
+        if end in report.restarts:
+            assert res[end] <= 0.2 * reference
