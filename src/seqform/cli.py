@@ -31,6 +31,8 @@ from .solver import SolveReport, SolverConfig, solve
 from .treeplex import SequenceFormGame, validate_sequence_form
 
 TRACE_HEADER = "iter,residual,duality_gap,value,p0,neg_q0,feas_x,feas_y,min_x,min_y,elapsed_ms"
+# Most violations printed for one game; a malformed file can break millions of rules.
+_MAX_VIOLATIONS_SHOWN = 20
 
 
 def _fmt_float(x: float) -> str:
@@ -260,12 +262,19 @@ def cmd_make_game(args) -> int:
     return 0
 
 
+def _print_violations(violations, file) -> None:
+    """Print the first _MAX_VIOLATIONS_SHOWN violations in order, then a count of the rest."""
+    for v in violations[:_MAX_VIOLATIONS_SHOWN]:
+        print(str(v), file=file)
+    if len(violations) > _MAX_VIOLATIONS_SHOWN:
+        print(f"... and {len(violations) - _MAX_VIOLATIONS_SHOWN} more violations", file=file)
+
+
 def cmd_validate(args) -> int:
     game = _load_game_file(args.game)
     violations = validate_sequence_form(game)
     if violations:
-        for v in violations:
-            print(str(v))
+        _print_violations(violations, sys.stdout)
         return 1
     return 0
 
@@ -389,8 +398,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
-        for v in exc.violations:
-            print(str(v), file=sys.stderr)
+        _print_violations(exc.violations, sys.stderr)
         return 1
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -2,17 +2,19 @@
 
 Matrices are assembled from (row, col, value) triplets or, on the bulk
 paths (from_dense, build_K), straight from index and value arrays, with
-duplicate coordinates summed, and compiled to a compressed-row layout
-that stays the record of the stored entries. Products run on whichever
-layout reads fewer bytes. A matrix whose dense array (8 bytes a cell) is
-no larger than its compressed rows (12 bytes a stored entry: value and
-column index), such as a matrix game's payoff block, multiplies as a
+duplicate coordinates summed and explicit zeros kept. The stored entries
+are recorded in compressed rows as three plain numpy arrays, built by
+numpy alone: row pointers, column indices (int32 where they fit) and
+values, 12 bytes a stored entry. Products run on a layout chosen by one
+rule. A matrix whose dense array (8 bytes a cell) is no larger than its
+compressed rows, such as a matrix game's payoff block, or is at most
+_SMALL_DENSE_BYTES, such as Kuhn poker's whole operator, multiplies as a
 read-only dense array, one BLAS product each way, its transpose a view.
-Any other matrix keeps a second, transposed compressed-row layout, so
-products against the transpose run over rows too, which is measurably
-faster than scipy's column-layout product on the solver's operators.
-Instances are immutable after construction and safe to share between
-solves.
+Any other matrix multiplies through scipy's compressed rows, sharing the
+record's arrays, plus a transposed compressed-row copy, so products
+against the transpose run over rows too, which is measurably faster
+than scipy's column-layout product on the solver's operators. Instances
+are immutable after construction and safe to share between solves.
 
 spectral_norm estimates the largest singular value, which sets the
 solver's step size, by Lanczos on K^T K with numpy alone: importing
@@ -39,20 +41,29 @@ _STOP_SAFETY = 0.005
 # Up to 25, eigh solves the tridiagonal by QR steps; above, LAPACK
 # switches to divide and conquer, which calls multithreaded BLAS.
 _MAX_BASIS = 25
+# Largest dense array that multiplies dense whatever its number of stored
+# entries. On small operators a product's cost is the call, not the bytes
+# read: with three entries a row, a dense product from 20x20 to 64x64
+# (32 KB) measured 1.4-2.1 us against 4-7 us through scipy's compressed
+# rows, and the two meet near 128x128, between 128 KB and 512 KB.
+_SMALL_DENSE_BYTES = 32768
 
 
 class SparseMatrix:
-    """Immutable sparse matrix, with a product layout chosen by bytes read.
+    """Immutable sparse matrix, with a product layout chosen by one rule.
 
-    _csr holds the stored entries, explicit zeros and summed duplicates
-    included, and is what nnz, triplets, to_dict and to_dense read.
+    _indptr, _indices and _data hold the stored entries in compressed
+    rows, columns ascending, explicit zeros and summed duplicates
+    included; they are what nnz, triplets, to_dict and to_dense read.
     Products use _fwd and _tns: a read-only dense array and its transposed
-    view when 8 * rows * cols <= 12 * nnz, since a dense product then
-    reads no more bytes than a compressed-row one; otherwise _csr and a
-    transposed compressed-row copy.
+    view when 8 * rows * cols <= max(12 * nnz, _SMALL_DENSE_BYTES), that
+    is, when a dense product reads no more bytes than a compressed-row
+    one or the dense array is small enough for call overhead to rule;
+    otherwise a scipy compressed-row matrix over the record's arrays and
+    a transposed compressed-row copy.
     """
 
-    __slots__ = ("rows", "cols", "_csr", "_fwd", "_tns")
+    __slots__ = ("rows", "cols", "_indptr", "_indices", "_data", "_fwd", "_tns")
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
         trips = list(triplets)
@@ -62,7 +73,7 @@ class SparseMatrix:
                           np.fromiter((t[2] for t in trips), dtype=np.float64, count=len(trips)))
 
     def _from_arrays(self, rows, cols, ri, ci, vals) -> "SparseMatrix":
-        """Fill this matrix from parallel row, column and value arrays."""
+        """Fill this matrix from parallel row, column and value arrays, which it may keep."""
         rows = int(rows)
         cols = int(cols)
         if rows < 1 or cols < 1:
@@ -75,16 +86,22 @@ class SparseMatrix:
                 raise ValueError("triplet index out of bounds")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("matrix values must be finite")
+            ri, ci, vals = _row_major(ri, ci, vals)
+        # scipy's choice too, so a compressed-row product layout shares these arrays
+        index = np.int32 if max(len(vals), rows, cols) <= np.iinfo(np.int32).max else np.int64
         self.rows = rows
         self.cols = cols
-        self._csr = scipy.sparse.coo_matrix((vals, (ri, ci)), shape=(rows, cols)).tocsr()
-        if 8 * rows * cols <= 12 * self._csr.nnz:
-            self._fwd = self._csr.toarray()
+        self._indptr = np.searchsorted(ri, np.arange(rows + 1)).astype(index)
+        self._indices = ci.astype(index)
+        self._data = vals
+        if 8 * rows * cols <= max(12 * len(vals), _SMALL_DENSE_BYTES):
+            self._fwd = self.to_dense()
             self._fwd.flags.writeable = False
             self._tns = self._fwd.T
         else:
-            self._fwd = self._csr
-            self._tns = self._csr.T.tocsr()
+            self._fwd = scipy.sparse.csr_matrix((self._data, self._indices, self._indptr),
+                                                shape=(rows, cols))
+            self._tns = self._fwd.T.tocsr()
         return self
 
     @classmethod
@@ -109,7 +126,7 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(self._csr.nnz)
+        return len(self._data)
 
     def matvec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -129,15 +146,17 @@ class SparseMatrix:
 
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value arrays of the stored entries, in row-major order."""
-        m = self._csr
-        return np.repeat(np.arange(self.rows), np.diff(m.indptr)), m.indices, m.data
+        return np.repeat(np.arange(self.rows), np.diff(self._indptr)), self._indices, self._data
 
     def triplets(self) -> list[Triplet]:
         """Stored entries in row-major order with columns ascending."""
         return list(zip(*(a.tolist() for a in self._coo())))
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros((self.rows, self.cols))
+        r, c, x = self._coo()
+        out[r, c] = x
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -178,6 +197,31 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _row_major(ri, ci, vals):
+    """Entries sorted by row, then column, with duplicates summed in input order.
+
+    Input already in that order, as from_dense and every file that
+    to_dict writes are, passes linear checks only. Otherwise a stable
+    sort by row, and a full sort by row and column only if the columns
+    within a row are still out of order: build_K's stacked blocks come
+    out of the row sort in order, and a full sort there costs tens of ms
+    on large games. A sum that cancels stays an explicit zero.
+    """
+    if (ri[1:] < ri[:-1]).any():
+        order = np.argsort(ri, kind="stable")
+        ri, ci, vals = ri[order], ci[order], vals[order]
+    same_row = ri[1:] == ri[:-1]
+    if (same_row & (ci[1:] < ci[:-1])).any():
+        # the rows stay where they are, so same_row still holds
+        order = np.lexsort((ci, ri))
+        ri, ci, vals = ri[order], ci[order], vals[order]
+    repeat = same_row & (ci[1:] == ci[:-1])
+    if not repeat.any():
+        return ri, ci, vals
+    starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+    return ri[starts], ci[starts], np.add.reduceat(vals, starts)
 
 
 class SpectralEstimate(NamedTuple):

@@ -16,7 +16,7 @@ from seqform import FileFormatError, efg_from_dict, random_matrix_game, to_seque
 from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
                          render_json, write_trace_csv)
 from seqform.solver import TracePoint
-from seqform.treeplex import SequenceFormGame
+from seqform.treeplex import SequenceFormGame, validate_sequence_form
 from conftest import fixed_norm
 
 
@@ -102,6 +102,29 @@ def test_validate_reports_each_violation(tmp_path, capsys):
     assert main(["validate", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["e1 [0]: first entry must be 1, got 0.9"]
+
+
+def test_violation_output_is_bounded(tmp_path, capsys, monkeypatch):
+    # 30 entries of E1 set to 2 break 61 rules; both commands print the
+    # first 20 in order and count the rest
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "bad.json"
+    main(["make-game", "random-matrix", "--rows", "30", "--cols", "2", "--out", str(out)])
+    doc = json.loads(read(out))
+    for t in doc["E1"]["triplets"]:
+        t[2] = 2.0
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    violations = [str(v) for v in validate_sequence_form(_load_game_file(str(out)))]
+    assert len(violations) == 61
+    expected = violations[:20] + ["... and 41 more violations"]
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == expected
+    assert main(["solve", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == expected
+    assert captured.out == ""
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_validate_parse_and_io_errors(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqform import (DimensionError, FileFormatError, SparseMatrix,
-                     ValidationError, build_K, simplex_game, spectral_norm)
+from seqform import (DimensionError, FileFormatError, SequenceFormGame,
+                     SolverConfig, SparseMatrix, ValidationError, build_K,
+                     kuhn_poker, simplex_game, solve, spectral_norm,
+                     to_sequence_form)
 from seqform import sparse as sparse_module
 from seqform.oracle import dense_spectral_norm
 
@@ -73,39 +78,139 @@ def is_dense(m):
     return isinstance(m._fwd, np.ndarray)
 
 
+def first_cells(rows, cols, count):
+    """A rows x cols matrix with the first count of its cells stored, row by row."""
+    cells = [(i // cols, i % cols, float(i + 1)) for i in range(count)]
+    return SparseMatrix(rows, cols, cells)
+
+
 def matrix_3x3(count):
-    """A 3x3 matrix with the first count of its cells stored, row by row."""
-    cells = [(i // 3, i % 3, float(i + 1)) for i in range(count)]
-    return SparseMatrix(3, 3, cells)
+    return first_cells(3, 3, count)
+
+
+# the narrowest 3-row matrix whose dense array is larger than the small-matrix bound
+WIDE = sparse_module._SMALL_DENSE_BYTES // 24 + 1
 
 
 def test_layout_rule_boundary():
-    # 8 * 3 * 3 = 72 bytes dense against 12 per stored entry
-    assert is_dense(matrix_3x3(6))
-    assert not is_dense(matrix_3x3(5))
-    assert not is_dense(SparseMatrix.zeros(3, 3))
+    assert sparse_module._SMALL_DENSE_BYTES == 32768
+    # past 32 KB, dense exactly when 8 * rows * cols <= 12 * nnz:
+    # 3x2048 is 48 KB dense, 4096 stored entries in compressed rows
+    assert is_dense(first_cells(3, 2048, 4096))
+    assert not is_dense(first_cells(3, 2048, 4095))
+    # with few entries, dense exactly up to 32 KB
+    assert is_dense(first_cells(1, 4096, 1))
+    assert not is_dense(first_cells(1, 4097, 1))
+    # so every 3x3 matrix is dense, even with no entries
+    assert is_dense(matrix_3x3(5))
+    assert is_dense(SparseMatrix.zeros(3, 3))
 
 
 @pytest.mark.parametrize("count", [5, 6, 9])
 def test_products_on_both_layouts(count):
-    m = matrix_3x3(count)
+    # the 3x3 matrix multiplies dense; padded with zero columns past 32 KB,
+    # the same entries multiply through compressed rows
+    for m, dense_layout in ((matrix_3x3(count), True), (first_cells(3, WIDE, count), False)):
+        assert is_dense(m) == dense_layout
+        dense = m.to_dense()
+        rng = np.random.default_rng(count)
+        for _ in range(5):
+            v = rng.standard_normal(m.cols)
+            u = rng.standard_normal(m.rows)
+            assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-12)
+            assert np.allclose(m.transpose_matvec(u), dense.T @ u, rtol=0, atol=1e-12)
+        with pytest.raises(DimensionError):
+            m.matvec(np.ones(m.cols + 1))
+        with pytest.raises(DimensionError):
+            m.transpose_matvec(np.ones(m.rows - 1))
+        # a returned vector belongs to the caller
+        for product, v in ((m.matvec, np.linspace(-2.0, 1.0, m.cols)),
+                           (m.transpose_matvec, np.array([1.0, -2.0, 0.5]))):
+            first = product(v)
+            expected = first.copy()
+            first[:] = 99.0
+            assert np.array_equal(product(v), expected)
+
+
+def random_entries(rng):
+    """Shape and triplets in random order, with duplicates and sums that cancel to zero.
+
+    Values are multiples of 1/8, so duplicates sum exactly in any order:
+    scipy's order is unspecified. The shapes cover both layouts: up to
+    7x7, dense by the small-matrix bound; 3 to 7 rows wide past 32 KB
+    with few entries, in compressed rows; and 2 or 3 such rows with every
+    cell stored, dense by bytes.
+    """
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    else:
+        rows = int(rng.integers(3, 8) if kind == 1 else rng.integers(2, 4))
+        cols = int(rng.integers(WIDE, 2 * WIDE))
+    if kind == 2:
+        ri, ci = np.divmod(np.arange(rows * cols), cols)
+    else:
+        n = int(rng.integers(0, 30))
+        ri, ci = rng.integers(0, rows, n), rng.integers(0, cols, n)
+    vals = rng.integers(-16, 17, len(ri)) / 8.0
+    dup = rng.integers(0, len(ri), int(rng.integers(0, 10))) if len(ri) else np.zeros(0, int)
+    cancel = rng.integers(0, len(ri), int(rng.integers(0, 10))) if len(ri) else np.zeros(0, int)
+    ri = np.concatenate([ri, ri[dup], ri[cancel]])
+    ci = np.concatenate([ci, ci[dup], ci[cancel]])
+    vals = np.concatenate([vals, vals[dup], -vals[cancel]])
+    order = rng.permutation(len(ri))
+    return rows, cols, ri[order], ci[order], vals[order]
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_stored_entries_match_scipy(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols, ri, ci, vals = random_entries(rng)
+    m = SparseMatrix(rows, cols, zip(ri.tolist(), ci.tolist(), vals.tolist()))
+    ref = scipy.sparse.coo_matrix((vals, (ri, ci)), shape=(rows, cols)).tocsr()
+    ref_rows = np.repeat(np.arange(rows), np.diff(ref.indptr))
+    want = list(zip(ref_rows.tolist(), ref.indices.tolist(), ref.data.tolist()))
+    assert m.nnz == ref.nnz
+    assert m.triplets() == want
+    assert m.to_dict() == {"rows": rows, "cols": cols, "triplets": [list(t) for t in want]}
+    assert np.array_equal(m.to_dense(), ref.toarray())
+    assert is_dense(m) == (8 * rows * cols <= max(12 * m.nnz, 32768))
     dense = m.to_dense()
-    rng = np.random.default_rng(count)
-    for _ in range(5):
-        v = rng.standard_normal(3)
-        assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-12)
-        assert np.allclose(m.transpose_matvec(v), dense.T @ v, rtol=0, atol=1e-12)
-    with pytest.raises(DimensionError):
-        m.matvec(np.ones(4))
-    with pytest.raises(DimensionError):
-        m.transpose_matvec(np.ones(2))
-    # a returned vector belongs to the caller
-    v = np.array([1.0, -2.0, 0.5])
-    for product in (m.matvec, m.transpose_matvec):
-        first = product(v)
-        expected = first.copy()
-        first[:] = 99.0
-        assert np.array_equal(product(v), expected)
+    v, u = rng.standard_normal(cols), rng.standard_normal(rows)
+    assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-12)
+    assert np.allclose(m.transpose_matvec(u), dense.T @ u, rtol=0, atol=1e-12)
+
+
+def ternary_game(depth):
+    """Both players own a complete ternary treeplex; payoffs on the diagonal."""
+    infosets = (3 ** depth - 1) // 2
+    trips = [(0, 0, 1.0)]
+    for j in range(infosets):
+        trips += [(j + 1, j, -1.0)] + [(j + 1, 3 * j + a, 1.0) for a in (1, 2, 3)]
+    E = SparseMatrix(infosets + 1, 3 * infosets + 1, trips)
+    e = np.zeros(E.rows)
+    e[0] = 1.0
+    return SequenceFormGame(A=SparseMatrix.identity(E.cols), E1=E, E2=E, e1=e, e2=e)
+
+
+def test_layout_choice_keeps_scipy_to_large_sparse_operators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy sparse matrix was built")
+
+    # every matrix of a Kuhn solve, K included, multiplies dense
+    monkeypatch.setattr(scipy.sparse, "coo_matrix", refuse)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
+    game, _ = to_sequence_form(kuhn_poker())
+    assert solve(game, SolverConfig(epsilon=1e-4)).converged
+    monkeypatch.undo()
+    # a depth-6 treeplex game's K keeps compressed rows, over the record's
+    # arrays rather than a copy of them
+    K = build_K(ternary_game(6))
+    assert (K.shape, K.nnz) == ((1458, 1458), 4007)
+    assert not is_dense(K)
+    assert np.shares_memory(K._fwd.data, K._data)
+    assert np.shares_memory(K._fwd.indices, K._indices)
 
 
 def test_dense_layout_is_read_only():
