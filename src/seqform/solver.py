@@ -158,6 +158,12 @@ class SolveReport:
     elapsed: float = 0.0
 
 
+def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
+    """The fields of an averaging window that starts at z0, which it keeps."""
+    return dict(z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), v=np.zeros(z0.size),
+                z_sum=np.zeros(z0.size), z0=z0, k=0)
+
+
 def init(game: SequenceFormGame, start=None) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
@@ -167,6 +173,9 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     """
     K = build_K(game)
     est = spectral_norm(K)
+    if math.isinf(est.value):
+        raise InitializationError(
+            f"operator norm estimation overflowed in round {est.iterations}: payoffs too large")
     if not est.converged:
         raise InitializationError(
             f"operator norm estimation did not converge in {est.iterations} iterations")
@@ -183,13 +192,11 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
             if arr.shape != (n,):
                 raise DimensionError(f"start {name} must have length {n}, got shape {arr.shape}")
             parts.append(arr)
-    z0 = np.concatenate(parts)
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
     return SolverState(
-        K=K, z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), c=c,
-        v=np.zeros(z0.size), z_sum=np.zeros(z0.size), z0=z0,
-        bounds=tuple(accumulate(shapes[:3])),
-        k=0, lam=1.0 / est.value, norm_K=est.value, steps=0)
+        K=K, c=c, bounds=tuple(accumulate(shapes[:3])),
+        lam=1.0 / est.value, norm_K=est.value, steps=0,
+        **_window(K, np.concatenate(parts)))
 
 
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
@@ -239,44 +246,36 @@ def ergodic_average(state: SolverState) -> Quadruplet:
     return state.blocks(state.z_sum / state.k)
 
 
-def _evaluate(state: SolverState, game: SequenceFormGame):
+def _trace_point(state, game, t0, res):
     """Evaluate the state the way a trace point and the report show it.
 
-    Returns (x_plan, y_plan, value, gap, feas): the ergodic averages
+    Returns the TracePoint after state.steps steps and the evaluation
+    (x_plan, y_plan, value, gap, feas) it shows: the ergodic averages
     pushed onto the polytopes, their value and duality gap, and the
     feasibility residuals of the last iterate.
     """
     avg = ergodic_average(state)
     x_plan = normalize_to_polytope(game.index1, avg.x)
     y_plan = normalize_to_polytope(game.index2, avg.y)
-    return (x_plan, y_plan, expected_value(game, x_plan, y_plan),
-            duality_gap(game, x_plan, y_plan), feasibility_residuals(game, state.x, state.y))
-
-
-def _trace_point(state, game, t0, res):
-    """Return the TracePoint after state.steps steps and the evaluation it shows."""
-    evaluation = _evaluate(state, game)
-    _, _, value, gap, feas = evaluation
+    value = expected_value(game, x_plan, y_plan)
+    gap = duality_gap(game, x_plan, y_plan)
+    feas = feasibility_residuals(game, state.x, state.y)
     point = TracePoint(
         iter=state.steps, residual=res, duality_gap=gap, value=value,
         p0=float(state.p[0]), neg_q0=float(-state.q[0]),
         feas_x=feas.feas_x, feas_y=feas.feas_y, min_x=feas.min_x, min_y=feas.min_y,
         elapsed=time.perf_counter() - t0)
-    return point, evaluation
+    return point, (x_plan, y_plan, value, gap, feas)
 
 
 def _restart(state: SolverState) -> None:
     """Restart the averaging in place from the ergodic average.
 
-    The result is the state init would build from that start, without
+    The window fields are set by the same function init uses, so the
+    result is the state init would build from that start, without
     rebuilding K or estimating its norm again, and steps keeps counting.
     """
-    state.z0 = state.z_sum / state.k
-    state.z[:] = state.z0
-    state.g = state.K.transpose_matvec(state.z[state.K.cols:])
-    state.v[:] = 0.0
-    state.z_sum[:] = 0.0
-    state.k = 0
+    vars(state).update(_window(state.K, state.z_sum / state.k))
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -292,9 +291,12 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     cover the steps since the last restart. Reported value and duality
     gap are computed from the ergodic averages pushed back onto the
     strategy polytopes; the feasibility residuals describe the last
-    iterate. With trace_every > 0 a TracePoint is recorded every
-    trace_every iterations, before a restart on the same step, and at
-    the final one.
+    iterate. init and each restart start a window through one function,
+    _window, and one site in the loop evaluates the state, _trace_point:
+    at the final step, for the report, and with trace_every > 0 every
+    trace_every iterations too, before a restart on the same step. With
+    trace_every > 0 each evaluated point is recorded in the trace, the
+    final one included.
     """
     if config is None:
         config = SolverConfig()
@@ -305,10 +307,12 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     while True:
         step(state, game)
         res = residual(state)
-        if config.trace_every and state.steps % config.trace_every == 0:
+        done = res < config.epsilon or state.steps >= config.max_iter
+        if done or (config.trace_every and state.steps % config.trace_every == 0):
             point, evaluation = _trace_point(state, game, t0, res)
-            trace.append(point)
-        if res < config.epsilon or state.steps >= config.max_iter:
+            if config.trace_every:
+                trace.append(point)
+        if done:
             break
         if state.steps == 1:
             reference = res
@@ -316,12 +320,6 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             _restart(state)
             restarts.append(state.steps)
             reference = res
-    if not trace or trace[-1].iter != state.steps:
-        if config.trace_every:
-            point, evaluation = _trace_point(state, game, t0, res)
-            trace.append(point)
-        else:
-            evaluation = _evaluate(state, game)
 
     x_plan, y_plan, value, gap, feas = evaluation
     return SolveReport(

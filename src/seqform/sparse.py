@@ -155,7 +155,8 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
         r, c, x = self._coo()
-        out[r, c] = x
+        # a flat index scatters faster than a 2-d fancy index
+        out.reshape(-1)[r * self.cols + c] = x
         return out
 
     def to_dict(self) -> dict:
@@ -230,6 +231,8 @@ class SpectralEstimate(NamedTuple):
     iterations: int
 
 
+# huge entries overflow K^T K, which ends the estimate as infinite, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
                   max_iter: int = 5000, seed: int = 0) -> SpectralEstimate:
     """Estimate the largest singular value by the Lanczos method.
@@ -251,7 +254,10 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
     Krylov space then closes within that many cheap rounds, which run to
     the end before one solve. A round whose new direction is negligible,
     as on a zero matrix or once the Krylov space has closed, is tested at
-    once. iterations counts rounds. Deterministic for a fixed seed.
+    once. A round whose new direction is not finite, as when entries
+    near 1e78 overflow K^T K, ends the estimate at once as infinite and
+    not converged. iterations counts rounds. Deterministic for a fixed
+    seed.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -279,6 +285,8 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
         seen = basis[:j + 1]
         w -= np.einsum("i,ij->j", np.einsum("ij,j->i", seen, w), seen)
         beta = math.sqrt(w @ w)
+        if not math.isfinite(beta):
+            return SpectralEstimate(math.inf, False, it)
         j += 1
         # the Ritz residual is at most beta, and the top Ritz value at least alpha
         if every_round or j == size or it == max_iter or beta <= tol * abs(alpha):

@@ -127,6 +127,18 @@ def test_violation_output_is_bounded(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_solve_with_overflowing_payoffs_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    game = seqform.simplex_game(seqform.SparseMatrix.from_dense([[1e78, -1e78]]))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(game.to_dict()), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: operator norm estimation overflowed")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_validate_parse_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n1": 13,', encoding="utf-8")

@@ -1,6 +1,8 @@
 """Solver iteration, certificates, averages, and failure modes."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from seqform import (DimensionError, DivergenceError, InitializationError,
                      expected_value, init, normalize_to_polytope,
                      random_matrix_game, residual, simplex_game, solve, step)
 from seqform.oracle import dense_spectral_norm
-from seqform.sparse import SpectralEstimate, build_K
+from seqform.sparse import SpectralEstimate, build_K, spectral_norm
 from conftest import fixed_norm
 
 
@@ -101,6 +103,31 @@ def test_init_requires_converged_norm_estimate(trivial_game, monkeypatch):
                         lambda *a, **k: SpectralEstimate(0.0, True, 3))
     with pytest.raises(InitializationError, match="not positive"):
         init(trivial_game)
+
+
+def test_huge_payoffs_fail_init_within_one_round(monkeypatch):
+    # entries near 1e78 overflow K^T K in the first Lanczos round; the
+    # estimate stops there as infinite, and init names the overflow
+    import seqform.solver as solver_module
+
+    estimates = []
+
+    def recorded_norm(*args, **kwargs):
+        estimates.append(spectral_norm(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(solver_module, "spectral_norm", recorded_norm)
+    games = [simplex_game(SparseMatrix.from_dense(rows))
+             for rows in ([[1e78, -1e78]], [[1e300, -1e300]], [[1e308]])]
+    for game in games:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InitializationError, match="overflow"):
+                init(game)
+        assert caught == []
+    assert estimates == [SpectralEstimate(math.inf, False, 1)] * len(games)
+    state = init(simplex_game(SparseMatrix.from_dense([[1e77, -1e77]])))
+    assert math.isfinite(state.norm_K) and state.lam > 0.0
 
 
 def test_first_step_hand_trace(trivial_game):
@@ -373,3 +400,44 @@ def test_restart_rule_is_a_fall_to_a_fifth(kuhn):
         assert all(res[k] > 0.2 * reference for k in range(start + 1, end))
         if end in report.restarts:
             assert res[end] <= 0.2 * reference
+
+
+def test_each_report_point_is_evaluated_once(kuhn, monkeypatch):
+    # one evaluation site: the final step and each trace step call
+    # _trace_point once, and a final step on the schedule is not evaluated twice
+    import seqform.solver as solver_module
+
+    _, game, _ = kuhn
+    calls = []
+    trace_point = solver_module._trace_point
+
+    def counted_trace_point(state, *args):
+        calls.append(state.steps)
+        return trace_point(state, *args)
+
+    monkeypatch.setattr(solver_module, "_trace_point", counted_trace_point)
+    report = solve(game, SolverConfig(epsilon=1e-4))
+    assert calls == [report.iterations] and report.trace == []
+    calls.clear()
+    report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
+    assert calls == [100, 200, 300, 398] == [t.iter for t in report.trace]
+    calls.clear()
+    solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
+    assert calls == [7, 10]
+
+
+def test_restart_builds_the_window_init_builds(kuhn):
+    import seqform.solver as solver_module
+
+    _, game, _ = kuhn
+    state = init(game)
+    for _ in range(20):
+        step(state, game)
+    K, lam, norm_K = state.K, state.lam, state.norm_K
+    start = ergodic_average(state)
+    solver_module._restart(state)
+    fresh = init(game, start=start)
+    for name in ("z", "z0", "g", "v", "z_sum"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+    assert state.k == fresh.k == 0
+    assert state.K is K and (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
