@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CompileError, DimensionError, FileFormatError, StructureError
 from .sparse import SparseMatrix
-from .treeplex import SequenceFormGame
+from .treeplex import SequenceFormGame, _through_K
 
 _CHANCE_SUM_TOL = 1e-12
 
@@ -269,11 +269,14 @@ def random_matrix_game(n1: int, n2: int, seed: int) -> SequenceFormGame:
 
 
 def expected_value(game: SequenceFormGame, x, y) -> float:
-    """Payoff x^T A y to player 1 under a realization-plan pair."""
+    """Payoff x^T A y to player 1 under a realization-plan pair.
+
+    A y is read off K (y, 0), one product on the game's one operator.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (game.n1,):
         raise DimensionError(f"x must have length {game.n1}, got shape {x.shape}")
-    return float(np.dot(x, game.A.matvec(y)))
+    return float(np.dot(x, _through_K(game, y, False)[0]))
 
 
 def efg_to_dict(efg: ExtensiveFormGame) -> dict:

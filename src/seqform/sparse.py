@@ -1,20 +1,24 @@
 """Sparse matrices and the product kernels the solver spends its time in.
 
 Matrices are assembled from (row, col, value) triplets or, on the bulk
-paths (from_dense, build_K), straight from index and value arrays, with
-duplicate coordinates summed and explicit zeros kept. The stored entries
-are recorded in compressed rows as three plain numpy arrays, built by
-numpy alone: row pointers, column indices (int32 where they fit) and
-values, 12 bytes a stored entry. Products run on a layout chosen by one
-rule. A matrix whose dense array (8 bytes a cell) is no larger than its
-compressed rows, such as a matrix game's payoff block, or is at most
-_SMALL_DENSE_BYTES, such as Kuhn poker's whole operator, multiplies as a
-read-only dense array, one BLAS product each way, its transpose a view.
-Any other matrix multiplies through scipy's compressed rows, sharing the
-record's arrays, plus a transposed compressed-row copy, so products
-against the transpose run over rows too, which is measurably faster
-than scipy's column-layout product on the solver's operators. Instances
-are immutable after construction and safe to share between solves.
+paths (from_dense, the game's K), straight from index and value arrays,
+with duplicate coordinates summed and explicit zeros kept. The stored
+entries are recorded in compressed rows as three plain numpy arrays,
+built by numpy alone: row pointers, column indices (int32 where they
+fit) and values, 12 bytes a stored entry. Products run on a layout
+chosen by one rule and built on a matrix's first product, so a matrix
+that is never multiplied carries none: a game's A, E1 and E2 are
+multiplied only through its K, and build a layout only when multiplied
+directly. A matrix whose dense array (8 bytes a cell) is no larger than
+its compressed rows, such as a matrix game's K, or is at most
+_SMALL_DENSE_BYTES, such as Kuhn poker's K, multiplies as a read-only
+dense array, one BLAS product each way, its transpose a view. Any other
+matrix multiplies through scipy's compressed rows, sharing the record's
+arrays, plus a transposed compressed-row copy, so products against the
+transpose run over rows too, which is measurably faster than scipy's
+column-layout product on the solver's operators. Instances are
+immutable apart from that one-time layout and safe to share between
+solves.
 
 spectral_norm estimates the largest singular value, which sets the
 solver's step size, by Lanczos on K^T K with numpy alone: importing
@@ -55,7 +59,8 @@ class SparseMatrix:
     _indptr, _indices and _data hold the stored entries in compressed
     rows, columns ascending, explicit zeros and summed duplicates
     included; they are what nnz, triplets, to_dict and to_dense read.
-    Products use _fwd and _tns: a read-only dense array and its transposed
+    Products use the (forward, transposed) pair _product_layout builds
+    on the first product: a read-only dense array and its transposed
     view when 8 * rows * cols <= max(12 * nnz, _SMALL_DENSE_BYTES), that
     is, when a dense product reads no more bytes than a compressed-row
     one or the dense array is small enough for call overhead to rule;
@@ -63,7 +68,7 @@ class SparseMatrix:
     a transposed compressed-row copy.
     """
 
-    __slots__ = ("rows", "cols", "_indptr", "_indices", "_data", "_fwd", "_tns")
+    __slots__ = ("rows", "cols", "_indptr", "_indices", "_data", "_layout")
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
         trips = list(triplets)
@@ -94,15 +99,28 @@ class SparseMatrix:
         self._indptr = np.searchsorted(ri, np.arange(rows + 1)).astype(index)
         self._indices = ci.astype(index)
         self._data = vals
-        if 8 * rows * cols <= max(12 * len(vals), _SMALL_DENSE_BYTES):
-            self._fwd = self.to_dense()
-            self._fwd.flags.writeable = False
-            self._tns = self._fwd.T
-        else:
-            self._fwd = scipy.sparse.csr_matrix((self._data, self._indices, self._indptr),
-                                                shape=(rows, cols))
-            self._tns = self._fwd.T.tocsr()
+        self._layout = None
         return self
+
+    def _product_layout(self) -> tuple:
+        """The (forward, transposed) pair products run on, built on the first product.
+
+        The pair is built whole and then stored in one slot, so no reader
+        sees half a layout; two solves racing on a first product build
+        equal pairs, and either may be kept.
+        """
+        layout = self._layout
+        if layout is None:
+            if 8 * self.rows * self.cols <= max(12 * self.nnz, _SMALL_DENSE_BYTES):
+                fwd = self.to_dense()
+                fwd.flags.writeable = False
+                layout = (fwd, fwd.T)
+            else:
+                fwd = scipy.sparse.csr_matrix((self._data, self._indices, self._indptr),
+                                              shape=self.shape)
+                layout = (fwd, fwd.T.tocsr())
+            self._layout = layout
+        return layout
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -134,7 +152,7 @@ class SparseMatrix:
             raise DimensionError(
                 f"matvec expects a vector of length {self.cols}, got shape {v.shape}"
             )
-        return self._fwd @ v
+        return self._product_layout()[0] @ v
 
     def transpose_matvec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -142,7 +160,7 @@ class SparseMatrix:
             raise DimensionError(
                 f"transpose_matvec expects a vector of length {self.rows}, got shape {v.shape}"
             )
-        return self._tns @ v
+        return self._product_layout()[1] @ v
 
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value arrays of the stored entries, in row-major order."""
@@ -167,7 +185,13 @@ class SparseMatrix:
         }
 
     @classmethod
-    def from_dict(cls, doc) -> "SparseMatrix":
+    def from_dict(cls, doc, max_shape=None) -> "SparseMatrix":
+        """Read a {"rows", "cols", "triplets"} document.
+
+        max_shape, if given, is the largest (rows, cols) the caller can
+        back; a larger declared shape is a FileFormatError before anything
+        of that shape is allocated.
+        """
         if not isinstance(doc, dict):
             raise FileFormatError("sparse matrix must be a JSON object")
         for key in ("rows", "cols", "triplets"):
@@ -180,6 +204,9 @@ class SparseMatrix:
             raise FileFormatError("sparse matrix 'rows' and 'cols' must be integers")
         if not isinstance(items, list):
             raise FileFormatError("sparse matrix 'triplets' must be a list")
+        if max_shape is not None and (rows > max_shape[0] or cols > max_shape[1]):
+            raise FileFormatError(f"sparse matrix shape {rows}x{cols} is too large: "
+                                  f"the file backs at most {max_shape[0]}x{max_shape[1]}")
         for k, item in enumerate(items):
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise FileFormatError(f"triplet {k} must be [row, col, value]")
@@ -305,21 +332,16 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
 
 
 def build_K(game) -> SparseMatrix:
-    """Assemble the saddle-point operator [[A, -E1^T], [E2, 0]].
+    """The game's saddle-point operator [[A, -E1^T], [E2, 0]], once validated.
 
     The result has shape (n1 + l2) x (n2 + l1) and its norm sets the
-    solver's step size. The game is validated first.
+    solver's step size. The game is validated first; then the game's one
+    K is returned, assembled on its first use, so every call and the
+    evaluators share the same operator.
     """
     from .treeplex import validate_sequence_form
 
     violations = validate_sequence_form(game)
     if violations:
         raise ValidationError(violations)
-    n1, n2 = game.n1, game.n2
-    (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
-        m._coo() for m in (game.A, game.E1, game.E2))
-    return SparseMatrix.__new__(SparseMatrix)._from_arrays(
-        n1 + game.l2, n2 + game.l1,
-        np.concatenate([ar, ec1, n1 + er2]),
-        np.concatenate([ac, n2 + er1, ec2]),
-        np.concatenate([av, -ev1, ev2]))
+    return game._K

@@ -94,6 +94,25 @@ class SequenceFormGame:
         return _decode(self.E1, self.e1, "E1", "e1"), _decode(self.E2, self.e2, "E2", "e2")
 
     @functools.cached_property
+    def _K(self) -> SparseMatrix:
+        """The saddle-point operator [[A, -E1^T], [E2, 0]], assembled once.
+
+        build_K validates the game before handing it out; the evaluators
+        read it here, so a payoff block that does not fit E1 and E2 is
+        refused here too.
+        """
+        n1, n2 = self.n1, self.n2
+        if self.A.shape != (n1, n2):
+            raise DimensionError(f"A must be {n1}x{n2} to match E1 and E2, got {self.A.rows}x{self.A.cols}")
+        (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
+            m._coo() for m in (self.A, self.E1, self.E2))
+        return SparseMatrix.__new__(SparseMatrix)._from_arrays(
+            n1 + self.l2, n2 + self.l1,
+            np.concatenate([ar, ec1, n1 + er2]),
+            np.concatenate([ac, n2 + er1, ec2]),
+            np.concatenate([av, -ev1, ev2]))
+
+    @functools.cached_property
     def index1(self) -> "TreeplexIndex":
         return _checked_index(*self._decoded[0])
 
@@ -124,9 +143,11 @@ class SequenceFormGame:
         for key in ("n1", "n2", "l1", "l2", "A", "E1", "E2", "e1", "e2"):
             if key not in doc:
                 raise FileFormatError(f"game is missing '{key}'")
-        A = SparseMatrix.from_dict(doc["A"])
-        E1 = SparseMatrix.from_dict(doc["E1"])
-        E2 = SparseMatrix.from_dict(doc["E2"])
+        # A valid treeplex stores an entry in every row and column of E1 and
+        # E2, and A is no larger than they make it: a declared shape past
+        # those bounds is refused before anything of that shape is allocated.
+        E1, E2 = (SparseMatrix.from_dict(doc[k], max_shape=_backed(doc[k])) for k in ("E1", "E2"))
+        A = SparseMatrix.from_dict(doc["A"], max_shape=(E1.cols, E2.cols))
         for vec in ("e1", "e2"):
             if not isinstance(doc[vec], list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc[vec]
@@ -148,6 +169,16 @@ class SequenceFormGame:
         except OverflowError as exc:
             raise FileFormatError(f"'e1' or 'e2' holds a number out of range: {exc}") from None
         return cls(A=A, E1=E1, E2=E2, e1=e1, e2=e2, labels=labels)
+
+
+def _backed(doc) -> tuple[int, int]:
+    """The largest shape a constraint matrix's triplets can back, one entry a row and a column.
+
+    A document without a triplet list backs nothing; from_dict then
+    reports what it lacks.
+    """
+    n = len(doc["triplets"]) if isinstance(doc, dict) and isinstance(doc.get("triplets"), list) else 0
+    return n, n
 
 
 @dataclass(frozen=True)
@@ -396,14 +427,39 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
     return out
 
 
+def _through_K(game: SequenceFormGame, v, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of one product of the game's K with a strategy padded by zeros.
+
+    K (y, 0) = (A y, E2 y) and K^T (x, 0) = (A^T x, -E1 x): y is a
+    player 2 strategy, x, with transpose, a player 1 strategy.
+    """
+    n, m, name = (game.n1, game.n2, "x") if transpose else (game.n2, game.n1, "y")
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise DimensionError(f"{name} must have length {n}, got shape {v.shape}")
+    K = game._K
+    padded = np.zeros(K.rows if transpose else K.cols)
+    padded[:n] = v
+    out = K.transpose_matvec(padded) if transpose else K.matvec(padded)
+    return out[:m], out[m:]
+
+
+def _residuals(game: SequenceFormGame, x, y, neg_E1x, E2y) -> FeasibilityResiduals:
+    # e1 + (-E1 x) is exactly the negation of E1 x - e1
+    return FeasibilityResiduals(feas_x=float(np.max(np.abs(game.e1 + neg_E1x))),
+                                feas_y=float(np.max(np.abs(E2y - game.e2))),
+                                min_x=float(np.min(x)), min_y=float(np.min(y)))
+
+
 def feasibility_residuals(game: SequenceFormGame, x, y) -> FeasibilityResiduals:
-    """Constraint residuals (max-norm) and minimum entries of a strategy pair."""
+    """Constraint residuals (max-norm) and minimum entries of a strategy pair.
+
+    E1 x and E2 y are read off K^T (x, 0) and K (y, 0), two products on
+    the game's one operator.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    feas_x = float(np.max(np.abs(game.E1.matvec(x) - game.e1)))
-    feas_y = float(np.max(np.abs(game.E2.matvec(y) - game.e2)))
-    return FeasibilityResiduals(feas_x=feas_x, feas_y=feas_y,
-                                min_x=float(np.min(x)), min_y=float(np.min(y)))
+    return _residuals(game, x, y, _through_K(game, x, True)[1], _through_K(game, y, False)[1])
 
 
 def duality_gap(game: SequenceFormGame, x, y, feas_tol: float = 1e-8) -> float:
@@ -412,18 +468,22 @@ def duality_gap(game: SequenceFormGame, x, y, feas_tol: float = 1e-8) -> float:
     Zero exactly at an equilibrium, and an upper bound on how much
     either player can gain by deviating. Meaningful for feasible
     strategies; noticeably infeasible inputs trigger a
-    FeasibilityWarning but are still evaluated.
+    FeasibilityWarning but are still evaluated. Two products on the
+    game's K give both the gradients, A y and A^T x, and the constraint
+    blocks the warning reads.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    res = feasibility_residuals(game, x, y)
+    ATx, neg_E1x = _through_K(game, x, True)
+    Ay, E2y = _through_K(game, y, False)
+    res = _residuals(game, x, y, neg_E1x, E2y)
     if max(res.feas_x, res.feas_y) > feas_tol or min(res.min_x, res.min_y) < -feas_tol:
         warnings.warn(
             f"duality gap evaluated at infeasible strategies (residuals {res.feas_x:.3g}, "
             f"{res.feas_y:.3g}, minima {res.min_x:.3g}, {res.min_y:.3g})",
             FeasibilityWarning, stacklevel=2)
-    upper = best_response(game.index1, game.A.matvec(y), "max").value
-    lower = best_response(game.index2, game.A.transpose_matvec(x), "min").value
+    upper = best_response(game.index1, Ay, "max").value
+    lower = best_response(game.index2, ATx, "min").value
     return upper - lower
 
 

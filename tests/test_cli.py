@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,43 @@ def test_matrix_too_large_to_allocate_is_parse_error(tmp_path, capsys, monkeypat
         assert main([command, "big.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "too large" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_declared_shape_the_file_cannot_back_is_refused_before_allocating(
+        tmp_path, capsys, monkeypatch, command):
+    # one E1 entry cannot back a million player 1 sequences; refused at once
+    monkeypatch.chdir(tmp_path)
+    n = 1_000_000
+    doc = {"n1": n, "n2": 1, "l1": 1, "l2": 1,
+           "A": {"rows": n, "cols": 1, "triplets": [[0, 0, 1.0]]},
+           "E1": {"rows": 1, "cols": n, "triplets": [[0, 0, 1.0]]},
+           "E2": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+           "e1": [1.0], "e2": [1.0]}
+    (tmp_path / "wide.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert (tmp_path / "wide.json").stat().st_size < 300
+    tracemalloc.start()
+    try:
+        assert main([command, "wide.json"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "too large" in err
+    assert peak < 10 * 2 ** 20
+
+
+def test_payoff_block_past_the_sequences_is_a_parse_error_and_a_smaller_one_a_violation(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = random_matrix_game(3, 2, 5).to_dict()
+    for rows, code in ((4, 2), (2, 1)):
+        (tmp_path / "g.json").write_text(
+            json.dumps(dict(doc, A=dict(doc["A"], rows=rows, triplets=[]))), encoding="utf-8")
+        assert main(["validate", "g.json"]) == code
+        out, err = capsys.readouterr()
+        assert ("too large" in err) == (code == 2)
+        assert ("A rows: must match the 3 player 1 sequences, got 2" in out) == (code == 1)
 
 
 def test_load_game_file_hashes_the_bytes_it_parses(tmp_path):

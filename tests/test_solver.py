@@ -441,3 +441,24 @@ def test_restart_builds_the_window_init_builds(kuhn):
         assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
     assert state.k == fresh.k == 0
     assert state.K is K and (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
+
+
+def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
+    import seqform.solver as solver_module
+
+    _, game, _ = kuhn
+    state = init(game)
+    for _ in range(10):
+        step(state, game)
+    products = []
+    for name in ("matvec", "transpose_matvec"):
+        product = getattr(SparseMatrix, name)
+
+        def counted(self, v, product=product):
+            products.append(self)
+            return product(self, v)
+
+        monkeypatch.setattr(SparseMatrix, name, counted)
+    solver_module._trace_point(state, game, 0.0, residual(state))
+    assert 0 < len(products) <= 5
+    assert all(m is state.K for m in products)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from seqform import (DimensionError, FileFormatError, SequenceFormGame,
                      SolverConfig, SparseMatrix, ValidationError, build_K,
-                     kuhn_poker, simplex_game, solve, spectral_norm,
-                     to_sequence_form)
+                     init, kuhn_poker, random_matrix_game, simplex_game, solve,
+                     spectral_norm, to_sequence_form)
 from seqform import sparse as sparse_module
 from seqform.oracle import dense_spectral_norm
 
@@ -75,7 +75,7 @@ def test_matvec_dimension_errors():
 
 
 def is_dense(m):
-    return isinstance(m._fwd, np.ndarray)
+    return isinstance(m._product_layout()[0], np.ndarray)
 
 
 def first_cells(rows, cols, count):
@@ -209,14 +209,28 @@ def test_layout_choice_keeps_scipy_to_large_sparse_operators(monkeypatch):
     K = build_K(ternary_game(6))
     assert (K.shape, K.nnz) == ((1458, 1458), 4007)
     assert not is_dense(K)
-    assert np.shares_memory(K._fwd.data, K._data)
-    assert np.shares_memory(K._fwd.indices, K._indices)
+    assert np.shares_memory(K._product_layout()[0].data, K._data)
+    assert np.shares_memory(K._product_layout()[0].indices, K._indices)
+
+
+def test_a_solve_multiplies_only_K():
+    # A, E1 and E2 are multiplied only through K, so they never build a layout
+    games = [to_sequence_form(kuhn_poker())[0], random_matrix_game(50, 40, 0), ternary_game(6)]
+    for game in games:
+        solve(game, SolverConfig(epsilon=1e-2, max_iter=200, trace_every=50))
+        assert [m._layout for m in (game.A, game.E1, game.E2)] == [None, None, None]
+        assert game._K._layout is not None
+
+
+def test_each_game_assembles_K_once():
+    for game in (to_sequence_form(kuhn_poker())[0], ternary_game(3)):
+        assert build_K(game) is build_K(game) is init(game).K
 
 
 def test_dense_layout_is_read_only():
     m = matrix_3x3(9)
     assert is_dense(m)
-    for arr in (m._fwd, m._tns):
+    for arr in m._product_layout():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
