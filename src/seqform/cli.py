@@ -175,14 +175,14 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        items = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not items:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return items
+def _int_list(item):
+    """A parser of comma-separated integers, each read by item."""
+    def parse(text: str) -> list[int]:
+        items = [item(part) for part in text.split(",") if part != ""]
+        if not items:
+            raise argparse.ArgumentTypeError("expected at least one integer")
+        return items
+    return parse
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -199,7 +199,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 def _add_builtin_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
     p.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
-    p.add_argument("--seed", type=int, default=0, help="seed for random-matrix (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="seed for random-matrix (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     so.set_defaults(func=cmd_solve)
 
     be = sub.add_parser("bench", help="solve random matrix games over a size/seed grid")
-    be.add_argument("--sizes", type=_int_list, required=True,
+    be.add_argument("--sizes", type=_int_list(_positive_int), required=True,
                     help="comma-separated square sizes, e.g. 100,200")
-    be.add_argument("--seeds", type=_int_list, required=True,
+    be.add_argument("--seeds", type=_int_list(_nonnegative_int), required=True,
                     help="comma-separated seeds, e.g. 0,1,2")
     _add_solver_flags(be)
     be.add_argument("--out-dir", default="bench", help="directory for traces (default bench)")

@@ -48,6 +48,9 @@ from .sparse import SparseMatrix, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
                        feasibility_residuals, normalize_to_polytope)
 
+# step's clipping bound: np.maximum takes a 0-d array faster than the float 0.0
+_ZERO = np.zeros(())
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -96,6 +99,9 @@ class SolverState:
     steps. c = (0, e1, 0, e2) is the constant part of the update. v
     accumulates every change of z, z_sum every iterate, and z0 is the
     start. k counts the steps since the last restart, steps all of them.
+    scratch holds the two stacked vectors step works in, the new iterate
+    and its change, and the views of them it writes; nothing in it
+    outlives a step, so copies made with dataclasses.replace may share it.
     """
 
     K: SparseMatrix
@@ -110,6 +116,7 @@ class SolverState:
     lam: float
     norm_K: float
     steps: int
+    scratch: tuple
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
@@ -164,6 +171,15 @@ def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
                 z_sum=np.zeros(z0.size), z0=z0, k=0)
 
 
+def _scratch(shapes) -> tuple:
+    """Two stacked vectors for step's new iterate and its change, with the views step writes."""
+    n2, l1, n1, _ = shapes
+    m, n = n2 + l1, sum(shapes)
+    buf = np.empty(2 * n)
+    z1, dz = buf[:n], buf[n:]
+    return z1, dz, z1[:m], z1[m:], z1[:n2], z1[m:m + n1], dz[:m], dz[m:]
+
+
 def init(game: SequenceFormGame, start=None) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
@@ -195,7 +211,7 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
     return SolverState(
         K=K, c=c, bounds=tuple(accumulate(shapes[:3])),
-        lam=1.0 / est.value, norm_K=est.value, steps=0,
+        lam=1.0 / est.value, norm_K=est.value, steps=0, scratch=_scratch(shapes),
         **_window(K, np.concatenate(parts)))
 
 
@@ -206,25 +222,39 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     u1 = u - lam (g + (0, e1)) with y clipped at zero,
     w1 = w + lam (K u1 - (0, e2)) with x clipped at zero, and
     u2 = u1 - lam K^T (w1 - w), which also moves g to K^T w1.
+    The new iterate (u2, w1) is built in state.scratch and its change
+    (u2 - u, w1 - w) beside it; only the two products allocate.
     """
-    K, lam, z, c = state.K, state.lam, state.z, state.c
+    K, z, c = state.K, state.z, state.c
     m = K.cols
     u0, w0 = z[:m], z[m:]
+    z1, dz, u1, w1, y1, x1, du, dw = state.scratch
+    # a 0-d array multiplies as a vector operand does, with none of a Python float's dispatch
+    lam = np.array(state.lam)
     # overflow surfaces as the typed divergence error below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        u1 = u0 - lam * (state.g + c[:m])
-        np.maximum(u1[:game.n2], 0.0, out=u1[:game.n2])
-        w1 = w0 + lam * (K.matvec(u1) - c[m:])
-        np.maximum(w1[:game.n1], 0.0, out=w1[:game.n1])
-        dg = K.transpose_matvec(w1 - w0)
+        np.add(state.g, c[:m], out=u1)
+        u1 *= lam
+        np.subtract(u0, u1, out=u1)
+        np.maximum(y1, _ZERO, out=y1)
+        Ku = K.matvec(u1)
+        Ku -= c[m:]
+        Ku *= lam
+        np.add(w0, Ku, out=w1)
+        del Ku  # so the two products' results are never held at once
+        np.maximum(x1, _ZERO, out=x1)
+        np.subtract(w1, w0, out=dw)
+        dg = K.transpose_matvec(dw)
         state.g += dg
-        z1 = np.concatenate([u1 - lam * dg, w1])
-        state.v += z1 - z
+        dg *= lam
+        u1 -= dg
+        np.subtract(u1, u0, out=du)
+        state.v += dz
         z[:] = z1
         state.z_sum += z
         state.k += 1
         state.steps += 1
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergenceError(
             f"non-finite value in iterate at iteration {state.steps}", iteration=state.steps)
     return state

@@ -235,7 +235,8 @@ def _row_major(ri, ci, vals):
     sort by row, and a full sort by row and column only if the columns
     within a row are still out of order: build_K's stacked blocks come
     out of the row sort in order, and a full sort there costs tens of ms
-    on large games. A sum that cancels stays an explicit zero.
+    on large games. A sum that cancels stays an explicit zero; one that
+    overflows is a ValueError.
     """
     if (ri[1:] < ri[:-1]).any():
         order = np.argsort(ri, kind="stable")
@@ -249,7 +250,12 @@ def _row_major(ri, ci, vals):
     if not repeat.any():
         return ri, ci, vals
     starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
-    return ri[starts], ci[starts], np.add.reduceat(vals, starts)
+    # finite duplicates can sum past the largest double: an error, not a warning
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(vals, starts)
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("matrix values must be finite, and so must the sums of duplicates")
+    return ri[starts], ci[starts], sums
 
 
 class SpectralEstimate(NamedTuple):

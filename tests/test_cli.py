@@ -470,6 +470,26 @@ def test_bench_rejects_bad_size_list():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["make-game", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-1", "--out", "x.json"],
+    ["solve", "--builtin", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-5"],
+    ["bench", "--sizes", "2", "--seeds", "-1"],
+    ["bench", "--sizes", "2", "--seeds", "0,-1"],
+    ["bench", "--sizes", "0", "--seeds", "0"],
+    ["bench", "--sizes", "2,-3", "--seeds", "0"],
+    ["bench", "--sizes", ",", "--seeds", "0"],
+], ids=["make-game-seed", "solve-seed", "bench-seed", "bench-second-seed", "bench-size-0",
+        "bench-second-size", "bench-no-size"])
+def test_negative_seeds_and_nonpositive_sizes_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_json_formatting():
     assert render_json(0.1) == "0.10000000000000001"
     assert render_json([1, 2.5, "a"]) == '[1, 2.5, "a"]'

@@ -1,0 +1,157 @@
+"""Mutated game files end in a documented exit code, never a traceback.
+
+Each example takes the Kuhn poker game file, applies one to three
+mutations (a key dropped or retyped, a dimension inflated, triplets
+duplicated or permuted, a NaN or Infinity literal, a value nested deep
+in lists) and may truncate the text, then runs `validate` and a
+five-step `solve` on it. Inputs that once escaped as an exception are
+kept as explicit examples.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from seqform import kuhn_poker, to_sequence_form
+from seqform.cli import main
+
+KUHN = to_sequence_form(kuhn_poker())[0].to_dict()
+# the exit codes the command line documents: validate and solve
+VALIDATE_CODES = {0, 1, 2}
+SOLVE_CODES = {0, 1, 2, 3, 4}
+NEST = "__nest__"
+
+
+def paths(doc, prefix=()):
+    """Every path from the root of a JSON document to one of its values."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+def get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def put(doc, path, value):
+    if not path:
+        return value
+    get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def numbers(doc):
+    return [p for p in paths(doc) if type(get(doc, p)) in (int, float)]
+
+
+def pick(draw, choices):
+    """One of choices, or None when there is none."""
+    return draw(st.sampled_from(choices)) if choices else None
+
+
+def drop(doc, draw):
+    path = pick(draw, list(paths(doc))[1:])
+    if path is not None:
+        del get(doc, path[:-1])[path[-1]]
+    return doc
+
+
+def retype(doc, draw):
+    path = draw(st.sampled_from(list(paths(doc))))
+    value = draw(st.sampled_from([None, True, False, "1", 0.5, -1, 2 ** 70, [], {}, [1, 2, 3]]))
+    return put(doc, path, value)
+
+
+def inflate(doc, draw):
+    dims = [p for p in paths(doc) if p and p[-1] in ("n1", "n2", "l1", "l2", "rows", "cols")]
+    triplet_indices = [p for p in numbers(doc) if len(p) == 4 and p[1] == "triplets" and p[3] < 2]
+    path = pick(draw, dims + triplet_indices)
+    if path is None:
+        return doc
+    return put(doc, path, draw(st.sampled_from([10 ** 6, 10 ** 9, 2 ** 31, 2 ** 63, 10 ** 30])))
+
+
+def reshuffle(doc, draw):
+    path = pick(draw, [p for p in paths(doc)
+                       if p and p[-1] == "triplets" and isinstance(get(doc, p), list)])
+    if path is None or not get(doc, path):
+        return doc
+    items = get(doc, path)
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    else:
+        items = items + draw(st.lists(st.sampled_from(items), min_size=1, max_size=5))
+    return put(doc, path, list(items))
+
+
+def non_finite(doc, draw):
+    path = pick(draw, numbers(doc))
+    if path is None:
+        return doc
+    return put(doc, path, draw(st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e200, 5e-324])))
+
+
+MUTATIONS = [drop, retype, inflate, reshuffle, non_finite]
+
+
+def nest(doc, draw) -> str:
+    """The document's JSON text with one value wrapped in a run of list brackets."""
+    path = draw(st.sampled_from(list(paths(doc))))
+    depth = draw(st.sampled_from([1, 2, 50, 5000]))
+    inner = json.dumps(get(doc, path))
+    text = json.dumps(put(doc, path, NEST))
+    return text.replace(json.dumps(NEST), "[" * depth + inner + "]" * depth)
+
+
+@st.composite
+def mutated_kuhn(draw) -> bytes:
+    doc = json.loads(json.dumps(KUHN))
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        doc = mutation(doc, draw)
+        if not isinstance(doc, (dict, list)):
+            break
+    text = nest(doc, draw) if draw(st.integers(0, 3)) == 0 else json.dumps(doc)
+    data = text.encode()
+    # a cut file is a parse error whatever else it holds, so only some are cut
+    if draw(st.integers(0, 7)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+def kuhn_file(edit) -> bytes:
+    """The Kuhn game file after edit has changed its document in place."""
+    doc = json.loads(json.dumps(KUHN))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def run(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_kuhn())
+# two finite duplicates whose sum overflows: once an overflow warning and an infinite entry
+@example(kuhn_file(lambda doc: doc["E2"]["triplets"].extend([[0, 0, 1e308], [0, 0, 1e308]])))
+def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        game = os.path.join(tmp, "game.json")
+        with open(game, "wb") as fh:
+            fh.write(data)
+        assert run(["validate", game]) in VALIDATE_CODES
+        assert run(["solve", game, "--max-iters", "5",
+                    "--report", os.path.join(tmp, "report.json"),
+                    "--trace", os.path.join(tmp, "trace.csv")]) in SOLVE_CODES

@@ -462,3 +462,91 @@ def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
     solver_module._trace_point(state, game, 0.0, residual(state))
     assert 0 < len(products) <= 5
     assert all(m is state.K for m in products)
+
+
+def copied(state):
+    """A dataclasses.replace copy of state with arrays of its own; K and scratch stay shared."""
+    return dataclasses.replace(state, **{name: getattr(state, name).copy()
+                                         for name in ("z", "g", "v", "z_sum", "z0")})
+
+
+def concatenate_step(state, game):
+    """The step as first written, a new array for every intermediate and z1 by concatenation."""
+    K, lam, z, c = state.K, state.lam, state.z, state.c
+    m = K.cols
+    u0, w0 = z[:m], z[m:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1 = u0 - lam * (state.g + c[:m])
+        np.maximum(u1[:game.n2], 0.0, out=u1[:game.n2])
+        w1 = w0 + lam * (K.matvec(u1) - c[m:])
+        np.maximum(w1[:game.n1], 0.0, out=w1[:game.n1])
+        dg = K.transpose_matvec(w1 - w0)
+        state.g += dg
+        z1 = np.concatenate([u1 - lam * dg, w1])
+        state.v += z1 - z
+        z[:] = z1
+        state.z_sum += z
+        state.k += 1
+        state.steps += 1
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["kuhn", "matrix", "treeplex"])
+def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which):
+    import seqform.solver as solver_module
+    from test_sparse import ternary_game
+
+    game = {"kuhn": kuhn[1], "matrix": random_matrix_game(50, 40, 0),
+            "treeplex": ternary_game(5)}[which]
+    # Kuhn's and the matrix game's K multiply dense, the treeplex's through compressed rows
+    assert isinstance(build_K(game)._product_layout()[0], np.ndarray) == (which != "treeplex")
+    state = init(game)
+    ref = copied(state)
+    for k in range(1, 501):
+        step(state, game)
+        concatenate_step(ref, game)
+        if k == 250:
+            solver_module._restart(state)
+            solver_module._restart(ref)
+        for name in ("z", "g", "v", "z_sum"):
+            assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
+    assert (state.k, state.steps) == (ref.k, ref.steps) == (250, 500)
+
+
+def test_step_allocates_less_than_one_state_vector():
+    import tracemalloc
+
+    import seqform.solver as solver_module
+    from test_sparse import ternary_game
+
+    game = ternary_game(6)
+    state = init(game)
+    step(state, game)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(20):
+            step(state, game)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * state.z.size
+
+    # copies share the scratch; stepped in turn, each matches its own run alone
+    first, second = copied(state), copied(state)
+    solver_module._restart(second)
+    alone = [copied(first), copied(second)]
+    for copy in alone:
+        for _ in range(20):
+            step(copy, game)
+    for _ in range(20):
+        step(first, game)
+        step(second, game)
+    for copy, ref in zip((first, second), alone):
+        assert copy.scratch is state.scratch
+        for name in ("z", "g", "v", "z_sum"):
+            assert same_bits(getattr(copy, name), getattr(ref, name)), name

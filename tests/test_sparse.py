@@ -55,6 +55,15 @@ def test_construction_errors():
         SparseMatrix(2, 2, [(0, 0, float("nan"))])
 
 
+def test_duplicates_summing_past_the_largest_double_are_refused():
+    # finite duplicates whose sum overflows: a typed error, not a warning and an infinite entry
+    trips = [(0, 0, 1e308), (1, 1, 1.0), (0, 0, 1e308)]
+    with pytest.raises(ValueError, match="finite"):
+        SparseMatrix(2, 2, trips)
+    with pytest.raises(FileFormatError, match="finite"):
+        SparseMatrix.from_dict({"rows": 2, "cols": 2, "triplets": [list(t) for t in trips]})
+
+
 def test_matvec_matches_dense():
     rng = np.random.default_rng(0)
     dense = rng.standard_normal((7, 5))
