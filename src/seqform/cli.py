@@ -1,15 +1,20 @@
 """Command line interface: build, validate, solve, and benchmark games.
 
+make-game writes kuhn or random-matrix, the one kind that takes --rows,
+--cols and --seed; solve reads a game file or --builtin kuhn, so a random
+matrix game is solved from its make-game file; bench solves a grid of them.
+
 All files are written deterministically: floating-point numbers are
 serialized with 17 significant digits (enough to round-trip doubles),
 dictionary key order is fixed, and timing columns are zero unless
 --timing is given. Running the same command twice therefore produces
 byte-identical output, and the manifest embedded in every report holds
-the resolved flags needed to reproduce a run.
+the resolved flags needed to reproduce a run and names the game as
+{"path", "sha256"} or {"builtin": "kuhn"}.
 
-Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
-3 finished without converging, 4 numerical divergence. I/O failures
-exit 1.
+Exit codes: 0 success, 1 validation failure, 2 parse or usage error
+or a game too large to allocate, 3 finished without converging,
+4 numerical divergence. I/O failures exit 1.
 """
 
 from __future__ import annotations
@@ -186,21 +191,14 @@ def _int_list(item):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=_positive_float, default=1e-4,
-                   help="target residual (default 1e-4)")
-    p.add_argument("--max-iters", type=_positive_int, default=100000,
-                   help="iteration budget (default 100000)")
+    p.add_argument("--epsilon", type=_positive_float, default=SolverConfig.epsilon,
+                   help="target residual (default %(default)s)")
+    p.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iter,
+                   help="iteration budget (default %(default)s)")
     p.add_argument("--trace-every", type=_nonnegative_int, default=100,
                    help="record a trace row every N iterations (default 100)")
     p.add_argument("--timing", action="store_true",
                    help="write real elapsed_ms values (costs reproducibility)")
-
-
-def _add_builtin_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
-    p.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
-    p.add_argument("--seed", type=_nonnegative_int, default=0,
-                   help="seed for random-matrix (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,7 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mk = sub.add_parser("make-game", help="write a built-in game to JSON")
     mk.add_argument("kind", choices=["kuhn", "random-matrix"])
     mk.add_argument("--out", required=True, help="output path for the sequence-form JSON")
-    _add_builtin_flags(mk)
+    mk.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
+    mk.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
+    mk.add_argument("--seed", type=_nonnegative_int, help="seed for random-matrix (default 0)")
     mk.set_defaults(func=cmd_make_game)
 
     va = sub.add_parser("validate", help="check a sequence-form JSON file")
@@ -222,9 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="solve a game and write report and trace")
     so.add_argument("game", nargs="?", help="path to a sequence-form JSON file")
-    so.add_argument("--builtin", choices=["kuhn", "random-matrix"],
+    so.add_argument("--builtin", choices=["kuhn"],
                     help="solve a built-in game instead of a file")
-    _add_builtin_flags(so)
     _add_solver_flags(so)
     so.add_argument("--report", default="report.json", help="report path (default report.json)")
     so.add_argument("--trace", default="trace.csv", help="trace path (default trace.csv)")
@@ -243,20 +242,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _builtin_game(kind: str, args):
-    """Build Kuhn poker or the random matrix game; None, after saying why, if a size is missing."""
-    if kind == "kuhn":
-        return to_sequence_form(kuhn_poker())[0]
-    if args.rows is None or args.cols is None:
-        print("error: random-matrix requires --rows and --cols", file=sys.stderr)
-        return None
-    return random_matrix_game(args.rows, args.cols, args.seed)
-
-
 def cmd_make_game(args) -> int:
-    game = _builtin_game(args.kind, args)
-    if game is None:
+    given = [f"--{flag}" for flag in ("rows", "cols", "seed") if getattr(args, flag) is not None]
+    if args.kind == "kuhn" and given:
+        print(f"error: kuhn takes no {', '.join(given)}", file=sys.stderr)
         return 2
+    if args.kind == "random-matrix" and (args.rows is None or args.cols is None):
+        print("error: random-matrix requires --rows and --cols", file=sys.stderr)
+        return 2
+    game = to_sequence_form(kuhn_poker())[0] if args.kind == "kuhn" \
+        else random_matrix_game(args.rows, args.cols, args.seed or 0)
     _write_json(args.out, game.to_dict())
     print(f"wrote {args.out}")
     if args.kind == "kuhn":
@@ -349,15 +344,11 @@ def _summary_line(report: SolveReport) -> str:
 
 def cmd_solve(args) -> int:
     if (args.game is None) == (args.builtin is None):
-        print("error: give exactly one of a game file or --builtin", file=sys.stderr)
+        print("error: give exactly one of a game file or --builtin kuhn", file=sys.stderr)
         return 2
     if args.builtin is not None:
-        game = _builtin_game(args.builtin, args)
-        if game is None:
-            return 2
-        game_desc = {"builtin": args.builtin}
-        if args.builtin == "random-matrix":
-            game_desc.update(rows=args.rows, cols=args.cols, seed=args.seed)
+        game = to_sequence_form(kuhn_poker())[0]
+        game_desc = {"builtin": "kuhn"}
     else:
         hasher = hashlib.sha256()
         game = _load_game_file(args.game, hasher)
@@ -412,6 +403,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: game too large to allocate: {exc}", file=sys.stderr)
+        return 2
     except SeqformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

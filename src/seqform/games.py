@@ -14,7 +14,7 @@ bet either calls for a two-chip showdown or folds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -248,12 +248,11 @@ def to_sequence_form(efg: ExtensiveFormGame) -> tuple[SequenceFormGame, Sequence
     return game, seqmap
 
 
-def simplex_game(A: SparseMatrix, labels: Optional[dict] = None) -> SequenceFormGame:
+def simplex_game(A: SparseMatrix) -> SequenceFormGame:
     """Wrap a payoff matrix as a game over plain probability simplexes."""
     E1 = SparseMatrix(1, A.rows, [(0, i, 1.0) for i in range(A.rows)])
     E2 = SparseMatrix(1, A.cols, [(0, j, 1.0) for j in range(A.cols)])
-    return SequenceFormGame(A=A, E1=E1, E2=E2,
-                            e1=np.ones(1), e2=np.ones(1), labels=labels)
+    return SequenceFormGame(A=A, E1=E1, E2=E2, e1=np.ones(1), e2=np.ones(1))
 
 
 def random_matrix_game(n1: int, n2: int, seed: int) -> SequenceFormGame:

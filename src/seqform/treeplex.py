@@ -33,6 +33,9 @@ from .errors import (DimensionError, FeasibilityWarning, FileFormatError,
                      StructureError)
 from .sparse import SparseMatrix
 
+# Largest constraint residual, or most negative entry, duality_gap takes as feasible
+_FEAS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -462,7 +465,7 @@ def feasibility_residuals(game: SequenceFormGame, x, y) -> FeasibilityResiduals:
     return _residuals(game, x, y, _through_K(game, x, True)[1], _through_K(game, y, False)[1])
 
 
-def duality_gap(game: SequenceFormGame, x, y, feas_tol: float = 1e-8) -> float:
+def duality_gap(game: SequenceFormGame, x, y) -> float:
     """Sum of both players' best-response improvements at (x, y).
 
     Zero exactly at an equilibrium, and an upper bound on how much
@@ -477,7 +480,7 @@ def duality_gap(game: SequenceFormGame, x, y, feas_tol: float = 1e-8) -> float:
     ATx, neg_E1x = _through_K(game, x, True)
     Ay, E2y = _through_K(game, y, False)
     res = _residuals(game, x, y, neg_E1x, E2y)
-    if max(res.feas_x, res.feas_y) > feas_tol or min(res.min_x, res.min_y) < -feas_tol:
+    if max(res.feas_x, res.feas_y) > _FEAS_TOL or min(res.min_x, res.min_y) < -_FEAS_TOL:
         warnings.warn(
             f"duality gap evaluated at infeasible strategies (residuals {res.feas_x:.3g}, "
             f"{res.feas_y:.3g}, minima {res.min_x:.3g}, {res.min_y:.3g})",

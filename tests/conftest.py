@@ -9,8 +9,8 @@ be exact instead of approximate.
 import numpy as np
 import pytest
 
-from seqform import (Chance, Decision, ExtensiveFormGame, SparseMatrix,
-                     Terminal, kuhn_poker, to_sequence_form)
+from seqform import (Chance, Decision, ExtensiveFormGame, SequenceFormGame,
+                     SparseMatrix, Terminal, kuhn_poker, to_sequence_form)
 from seqform.sparse import SpectralEstimate
 
 
@@ -27,6 +27,21 @@ def fixed_norm(monkeypatch, value):
 
     monkeypatch.setattr(solver_module, "spectral_norm",
                         lambda *a, **k: SpectralEstimate(value, True, 1))
+
+
+def ternary_game(depth):
+    """Both players own a complete ternary treeplex; payoffs on the diagonal.
+
+    From depth 4 on K multiplies through compressed rows, not a dense array.
+    """
+    infosets = (3 ** depth - 1) // 2
+    trips = [(0, 0, 1.0)]
+    for j in range(infosets):
+        trips += [(j + 1, j, -1.0)] + [(j + 1, 3 * j + a, 1.0) for a in (1, 2, 3)]
+    E = SparseMatrix(infosets + 1, 3 * infosets + 1, trips)
+    e = np.zeros(E.rows)
+    e[0] = 1.0
+    return SequenceFormGame(A=SparseMatrix.identity(E.cols), E1=E, E2=E, e1=e, e2=e)
 
 
 def dyadic_probs(rng, n):

@@ -273,8 +273,9 @@ def test_make_game_random_matrix_bytes_are_pinned(tmp_path):
 def test_solve_dense_game_reruns_are_byte_identical(tmp_path, monkeypatch):
     # a full payoff block takes the dense product layout; Kuhn's does not
     monkeypatch.chdir(tmp_path)
-    args = ["solve", "--builtin", "random-matrix", "--rows", "200", "--cols", "200",
-            "--epsilon", "1e-2"]
+    assert main(["make-game", "random-matrix", "--rows", "200", "--cols", "200",
+                 "--out", "rm.json"]) == 0
+    args = ["solve", "rm.json", "--epsilon", "1e-2"]
     runs = []
     for _ in range(2):
         assert main(args) == 0
@@ -352,17 +353,23 @@ def test_solve_game_file_records_hash(tmp_path):
     assert doc["manifest"]["game"] == {"path": str(game_path), "sha256": digest}
 
 
-def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch):
-    # the built-in game solves exactly like the same game read from a file
+def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch, capsys):
+    # make-game random-matrix is the one command that reads --rows, --cols and --seed
     monkeypatch.chdir(tmp_path)
-    size = ["--rows", "8", "--cols", "8", "--seed", "3"]
-    assert main(["make-game", "random-matrix", *size, "--out", "rm.json"]) == 0
-    runs = []
-    for source in (["--builtin", "random-matrix", *size], ["rm.json"]):
-        assert main(["solve", *source, "--epsilon", "1e-2"]) == 0
-        runs.append((read(tmp_path / "trace.csv"),
-                     json.loads(read(tmp_path / "report.json"))["lambda"]))
-    assert runs[0] == runs[1]
+    assert main(["make-game", "random-matrix", "--rows", "8", "--cols", "8", "--seed", "3",
+                 "--out", "rm.json"]) == 0
+    game = SequenceFormGame.from_dict(json.loads(read(tmp_path / "rm.json")))
+    assert game.A.triplets() == random_matrix_game(8, 8, 3).A.triplets()
+    capsys.readouterr()
+    assert main(["make-game", "kuhn", "--rows", "5", "--seed", "9", "--out", "kuhn.json"]) == 2
+    assert capsys.readouterr().err == "error: kuhn takes no --rows, --seed\n"
+    for flag in ("--rows", "--cols", "--seed"):
+        assert main(["make-game", "kuhn", flag, "5", "--out", "kuhn.json"]) == 2
+        for argv in (["solve", "rm.json", flag, "3"], ["solve", "--builtin", "kuhn", flag, "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["rm.json"]
 
 
 def seed_keys(doc, where=""):
@@ -373,26 +380,48 @@ def seed_keys(doc, where=""):
         path for key, value in doc.items() for path in seed_keys(value, f"{where}{key}.")]
 
 
-def test_manifest_records_only_a_seed_that_picked_the_game(tmp_path, monkeypatch):
+def test_manifest_names_the_game_by_file_hash_or_builtin_kuhn(tmp_path, monkeypatch):
+    # the seed that drew a random matrix game is in the file the manifest hashes
     monkeypatch.chdir(tmp_path)
-    assert main(["make-game", "kuhn", "--out", "kuhn.json"]) == 0
-    # a file solve ignores the built-in game's flags, so it records none of them
-    assert main(["solve", "kuhn.json", "--seed", "3", "--rows", "9", "--epsilon", "1e-2"]) == 0
-    assert seed_keys(json.loads(read(tmp_path / "report.json"))) == []
-    assert main(["solve", "--builtin", "random-matrix", "--rows", "4", "--cols", "3",
-                 "--seed", "3", "--epsilon", "1e-2"]) == 0
-    doc = json.loads(read(tmp_path / "report.json"))
-    assert seed_keys(doc) == ["manifest.game.seed"]
-    assert doc["manifest"]["game"] == {"builtin": "random-matrix", "rows": 4, "cols": 3, "seed": 3}
+    assert main(["make-game", "random-matrix", "--rows", "4", "--cols", "3", "--seed", "3",
+                 "--out", "rm.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "rm.json").read_bytes()).hexdigest()
+    for source, game in ((["rm.json"], {"path": "rm.json", "sha256": digest}),
+                         (["--builtin", "kuhn"], {"builtin": "kuhn"})):
+        assert main(["solve", *source, "--epsilon", "1e-2"]) == 0
+        doc = json.loads(read(tmp_path / "report.json"))
+        assert doc["manifest"]["game"] == game
+        assert seed_keys(doc) == []
 
 
-def test_solve_source_conflicts(tmp_path, capsys):
+def test_solve_source_conflicts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["solve"]) == 2
     assert main(["solve", "game.json", "--builtin", "kuhn"]) == 2
-    assert main(["solve", "--builtin", "random-matrix"]) == 2
-    err = capsys.readouterr().err
-    assert "exactly one" in err
-    assert "requires --rows and --cols" in err
+    assert capsys.readouterr().err.count("exactly one of a game file or --builtin kuhn") == 2
+    # a random matrix game is solved from the file make-game writes
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--builtin", "random-matrix"])
+    assert err.value.code == 2
+    assert "invalid choice: 'random-matrix'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-game", "random-matrix", "--rows", "1000000", "--cols", "1000000", "--out", "rm.json"],
+    ["bench", "--sizes", "1000000", "--seeds", "0"],
+], ids=["make-game", "bench"])
+def test_random_matrix_too_large_to_allocate_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # stands in for numpy refusing the 8 TB draw; no test allocates one
+    def refuse(rows, cols, seed):
+        raise MemoryError(f"Unable to allocate an array with shape ({rows}, {cols})")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("seqform.cli.random_matrix_game", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: game too large to allocate: "
+                                       "Unable to allocate an array with shape (1000000, 1000000)\n")
+    assert not (tmp_path / "rm.json").exists()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

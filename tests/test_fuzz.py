@@ -1,11 +1,14 @@
 """Mutated game files end in a documented exit code, never a traceback.
 
-Each example takes the Kuhn poker game file, applies one to three
-mutations (a key dropped or retyped, a dimension inflated, triplets
-duplicated or permuted, a NaN or Infinity literal, a value nested deep
-in lists) and may truncate the text, then runs `validate` and a
-five-step `solve` on it. Inputs that once escaped as an exception are
-kept as explicit examples.
+Each example takes a game file, applies one to three mutations (a key
+dropped or retyped, a dimension inflated, triplets duplicated or
+permuted, a NaN or Infinity literal, a value nested deep in lists) and
+may truncate the text, then runs `validate` and a five-step `solve` on
+it. The games are Kuhn poker, whose K multiplies as a dense array, and
+a depth-4 ternary treeplex game, whose 162x162 K with 443 entries
+multiplies through compressed rows. Inputs that once escaped as an
+exception are kept as explicit examples, and so are treeplex files that
+get past the parse, which few drawn ones do.
 """
 
 import contextlib
@@ -19,8 +22,10 @@ from hypothesis import strategies as st
 
 from seqform import kuhn_poker, to_sequence_form
 from seqform.cli import main
+from conftest import ternary_game
 
 KUHN = to_sequence_form(kuhn_poker())[0].to_dict()
+TREEPLEX = ternary_game(4).to_dict()
 # the exit codes the command line documents: validate and solve
 VALIDATE_CODES = {0, 1, 2}
 SOLVE_CODES = {0, 1, 2, 3, 4}
@@ -113,8 +118,9 @@ def nest(doc, draw) -> str:
 
 
 @st.composite
-def mutated_kuhn(draw) -> bytes:
-    doc = json.loads(json.dumps(KUHN))
+def mutated(draw, game) -> bytes:
+    """The game file after one to three mutations, and perhaps cut short."""
+    doc = json.loads(json.dumps(game))
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         doc = mutation(doc, draw)
         if not isinstance(doc, (dict, list)):
@@ -127,9 +133,9 @@ def mutated_kuhn(draw) -> bytes:
     return data
 
 
-def kuhn_file(edit) -> bytes:
-    """The Kuhn game file after edit has changed its document in place."""
-    doc = json.loads(json.dumps(KUHN))
+def edited(game, edit) -> bytes:
+    """The game file after edit has changed a copy of its document in place."""
+    doc = json.loads(json.dumps(game))
     edit(doc)
     return json.dumps(doc).encode()
 
@@ -142,11 +148,8 @@ def run(argv) -> int:
     return code
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_kuhn())
-# two finite duplicates whose sum overflows: once an overflow warning and an infinite entry
-@example(kuhn_file(lambda doc: doc["E2"]["triplets"].extend([[0, 0, 1e308], [0, 0, 1e308]])))
-def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
+def check_exit_codes(data: bytes) -> None:
+    """validate and a five-step solve of the file data end in documented exit codes."""
     with tempfile.TemporaryDirectory() as tmp:
         game = os.path.join(tmp, "game.json")
         with open(game, "wb") as fh:
@@ -155,3 +158,21 @@ def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
         assert run(["solve", game, "--max-iters", "5",
                     "--report", os.path.join(tmp, "report.json"),
                     "--trace", os.path.join(tmp, "trace.csv")]) in SOLVE_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(KUHN))
+# two finite duplicates whose sum overflows: once an overflow warning and an infinite entry
+@example(edited(KUHN, lambda doc: doc["E2"]["triplets"].extend([[0, 0, 1e308], [0, 0, 1e308]])))
+def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
+    check_exit_codes(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(TREEPLEX))
+# triplets out of order (solve exits 3 after five steps) and a payoff that overflows the
+# norm estimate (solve exits 1), both multiplied through compressed rows
+@example(edited(TREEPLEX, lambda doc: doc["A"]["triplets"].reverse()))
+@example(edited(TREEPLEX, lambda doc: put(doc, ("A", "triplets", 0, 2), 1e200)))
+def test_mutated_treeplex_files_end_in_documented_exit_codes(data):
+    check_exit_codes(data)

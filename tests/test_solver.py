@@ -13,7 +13,7 @@ from seqform import (DimensionError, DivergenceError, InitializationError,
                      random_matrix_game, residual, simplex_game, solve, step)
 from seqform.oracle import dense_spectral_norm
 from seqform.sparse import SpectralEstimate, build_K, spectral_norm
-from conftest import fixed_norm
+from conftest import fixed_norm, ternary_game
 
 
 @pytest.fixture
@@ -497,7 +497,6 @@ def same_bits(a, b):
 @pytest.mark.parametrize("which", ["kuhn", "matrix", "treeplex"])
 def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which):
     import seqform.solver as solver_module
-    from test_sparse import ternary_game
 
     game = {"kuhn": kuhn[1], "matrix": random_matrix_game(50, 40, 0),
             "treeplex": ternary_game(5)}[which]
@@ -520,7 +519,6 @@ def test_step_allocates_less_than_one_state_vector():
     import tracemalloc
 
     import seqform.solver as solver_module
-    from test_sparse import ternary_game
 
     game = ternary_game(6)
     state = init(game)

@@ -6,12 +6,13 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqform import (DimensionError, FileFormatError, SequenceFormGame,
-                     SolverConfig, SparseMatrix, ValidationError, build_K,
-                     init, kuhn_poker, random_matrix_game, simplex_game, solve,
-                     spectral_norm, to_sequence_form)
+from seqform import (DimensionError, FileFormatError, SolverConfig,
+                     SparseMatrix, ValidationError, build_K, init, kuhn_poker,
+                     random_matrix_game, simplex_game, solve, spectral_norm,
+                     to_sequence_form)
 from seqform import sparse as sparse_module
 from seqform.oracle import dense_spectral_norm
+from conftest import ternary_game
 
 
 def test_duplicate_triplets_are_summed():
@@ -189,18 +190,6 @@ def test_stored_entries_match_scipy(seed):
     v, u = rng.standard_normal(cols), rng.standard_normal(rows)
     assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-12)
     assert np.allclose(m.transpose_matvec(u), dense.T @ u, rtol=0, atol=1e-12)
-
-
-def ternary_game(depth):
-    """Both players own a complete ternary treeplex; payoffs on the diagonal."""
-    infosets = (3 ** depth - 1) // 2
-    trips = [(0, 0, 1.0)]
-    for j in range(infosets):
-        trips += [(j + 1, j, -1.0)] + [(j + 1, 3 * j + a, 1.0) for a in (1, 2, 3)]
-    E = SparseMatrix(infosets + 1, 3 * infosets + 1, trips)
-    e = np.zeros(E.rows)
-    e[0] = 1.0
-    return SequenceFormGame(A=SparseMatrix.identity(E.cols), E1=E, E2=E, e1=e, e2=e)
 
 
 def test_layout_choice_keeps_scipy_to_large_sparse_operators(monkeypatch):

@@ -566,9 +566,10 @@ def test_duality_gap_warns_on_infeasible_input():
     y = np.full(3, 1.0 / 3.0)
     with pytest.warns(FeasibilityWarning):
         duality_gap(game, x, y)
+    # the uniform plan is feasible for both players: no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        duality_gap(game, x, y, feas_tol=2.0)
+        duality_gap(game, y, y)
 
 
 def test_duality_gap_matches_simplex_shortcut():
