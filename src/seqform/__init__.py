@@ -7,8 +7,8 @@ from .errors import (CompileError, DimensionError, DivergenceError,
                      SeqformError, SizeError, StrategyError, StructureError,
                      ValidationError)
 from .games import (Chance, Decision, ExtensiveFormGame, SequenceMap, Terminal,
-                    efg_from_dict, efg_to_dict, expected_value, kuhn_poker,
-                    random_matrix_game, simplex_game, to_sequence_form)
+                    expected_value, kuhn_poker, random_matrix_game,
+                    simplex_game, to_sequence_form)
 from .solver import (Quadruplet, SolveReport, SolverConfig, SolverState,
                      TracePoint, ergodic_average, init, residual, solve, step)
 from .sparse import SparseMatrix, SpectralEstimate, build_K, spectral_norm
@@ -26,7 +26,7 @@ __all__ = [
     "feasibility_residuals", "normalize_to_polytope",
     "ExtensiveFormGame", "Terminal", "Chance", "Decision", "SequenceMap",
     "kuhn_poker", "random_matrix_game", "simplex_game", "to_sequence_form",
-    "expected_value", "efg_to_dict", "efg_from_dict",
+    "expected_value",
     "SolverConfig", "SolverState", "SolveReport", "TracePoint", "Quadruplet",
     "init", "step", "residual", "ergodic_average", "solve",
     "SeqformError", "DimensionError", "ValidationError", "StructureError",

@@ -1,8 +1,9 @@
 """Command line interface: build, validate, solve, and benchmark games.
 
-make-game writes kuhn or random-matrix, the one kind that takes --rows,
---cols and --seed; solve reads a game file or --builtin kuhn, so a random
-matrix game is solved from its make-game file; bench solves a grid of them.
+make-game writes one sequence-form file, kuhn or random-matrix, the one
+kind that takes --rows, --cols and --seed; solve reads a game file or
+--builtin kuhn, so a random matrix game is solved from its make-game
+file; bench solves a grid of them.
 
 All files are written deterministically: floating-point numbers are
 serialized with 17 significant digits (enough to round-trip doubles),
@@ -20,18 +21,19 @@ or a game too large to allocate, 3 finished without converging,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import (DivergenceError, FileFormatError, SeqformError,
                      ValidationError)
-from .games import (efg_to_dict, kuhn_poker, random_matrix_game,
-                    to_sequence_form)
+from .games import kuhn_poker, random_matrix_game, to_sequence_form
 from .solver import SolveReport, SolverConfig, solve
 from .treeplex import SequenceFormGame, validate_sequence_form
 
@@ -202,13 +204,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter would otherwise query the terminal once per argument
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="seqform",
+        prog="seqform", formatter_class=fmt,
         description="Approximate equilibria of two-person zero-sum games in sequence form.")
     parser.add_argument("--version", action="version", version=f"seqform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mk = sub.add_parser("make-game", help="write a built-in game to JSON")
+    mk = sub.add_parser("make-game", formatter_class=fmt, help="write a built-in game to JSON")
     mk.add_argument("kind", choices=["kuhn", "random-matrix"])
     mk.add_argument("--out", required=True, help="output path for the sequence-form JSON")
     mk.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
@@ -216,11 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--seed", type=_nonnegative_int, help="seed for random-matrix (default 0)")
     mk.set_defaults(func=cmd_make_game)
 
-    va = sub.add_parser("validate", help="check a sequence-form JSON file")
+    va = sub.add_parser("validate", formatter_class=fmt, help="check a sequence-form JSON file")
     va.add_argument("game", help="path to the game file")
     va.set_defaults(func=cmd_validate)
 
-    so = sub.add_parser("solve", help="solve a game and write report and trace")
+    so = sub.add_parser("solve", formatter_class=fmt,
+                        help="solve a game and write report and trace")
     so.add_argument("game", nargs="?", help="path to a sequence-form JSON file")
     so.add_argument("--builtin", choices=["kuhn"],
                     help="solve a built-in game instead of a file")
@@ -231,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="optional path for the computed strategies")
     so.set_defaults(func=cmd_solve)
 
-    be = sub.add_parser("bench", help="solve random matrix games over a size/seed grid")
+    be = sub.add_parser("bench", formatter_class=fmt,
+                        help="solve random matrix games over a size/seed grid")
     be.add_argument("--sizes", type=_int_list(_positive_int), required=True,
                     help="comma-separated square sizes, e.g. 100,200")
     be.add_argument("--seeds", type=_int_list(_nonnegative_int), required=True,
@@ -254,12 +261,6 @@ def cmd_make_game(args) -> int:
         else random_matrix_game(args.rows, args.cols, args.seed or 0)
     _write_json(args.out, game.to_dict())
     print(f"wrote {args.out}")
-    if args.kind == "kuhn":
-        out = Path(args.out)
-        efg_path = out.with_suffix(".efg.json") if out.suffix == ".json" \
-            else Path(str(out) + ".efg.json")
-        _write_json(str(efg_path), efg_to_dict(kuhn_poker()))
-        print(f"wrote {efg_path}")
     return 0
 
 
@@ -364,16 +365,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Solve the whole grid, then write every trace and summary.csv.
+
+    So a grid refused part way, at a size too large to allocate, writes nothing.
+    """
     rows = ["size,seed,converged,iterations,residual,value,duality_gap,elapsed_ms"]
+    traces = {}
     all_converged = True
     config = _config_from_args(args)
     for size in args.sizes:
         for seed in args.seeds:
             report = solve(random_matrix_game(size, size, seed), config)
-            trace_path = out_dir / f"trace_{size}x{size}_seed{seed}.csv"
-            write_trace_csv(str(trace_path), report.trace, args.timing)
+            traces[f"trace_{size}x{size}_seed{seed}.csv"] = report.trace
             elapsed_ms = report.elapsed * 1000.0 if args.timing else 0.0
             rows.append(",".join([
                 str(size), str(seed), "1" if report.converged else "0",
@@ -382,6 +385,10 @@ def cmd_bench(args) -> int:
                 _fmt_float(elapsed_ms)]))
             all_converged = all_converged and report.converged
             print(f"size={size} seed={seed} {_summary_line(report)}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, trace in traces.items():
+        write_trace_csv(str(out_dir / name), trace, args.timing)
     _write_text(str(out_dir / "summary.csv"), "\n".join(rows) + "\n")
     return 0 if all_converged else 3
 

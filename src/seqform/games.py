@@ -18,7 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import CompileError, DimensionError, FileFormatError, StructureError
+from .errors import CompileError, DimensionError, StructureError
 from .sparse import SparseMatrix
 from .treeplex import SequenceFormGame, _through_K
 
@@ -277,61 +277,3 @@ def expected_value(game: SequenceFormGame, x, y) -> float:
         raise DimensionError(f"x must have length {game.n1}, got shape {x.shape}")
     return float(np.dot(x, _through_K(game, y, False)[0]))
 
-
-def efg_to_dict(efg: ExtensiveFormGame) -> dict:
-    def node_doc(node: Node) -> dict:
-        if isinstance(node, Terminal):
-            return {"type": "terminal", "payoff": float(node.payoff)}
-        if isinstance(node, Chance):
-            return {"type": "chance",
-                    "outcomes": [{"p": float(p), "child": node_doc(c)} for p, c in node.outcomes]}
-        return {"type": "decision", "player": node.player, "infoset": node.infoset,
-                "actions": [{"label": lab, "child": node_doc(c)} for lab, c in node.actions]}
-
-    return {"players": 2, "root": node_doc(efg.root)}
-
-
-def efg_from_dict(doc) -> ExtensiveFormGame:
-    if not isinstance(doc, dict) or "root" not in doc:
-        raise FileFormatError("extensive-form game must be an object with a 'root'")
-
-    def number(value, what: str) -> float:
-        # type() rather than isinstance(): JSON true and false load as bool
-        if type(value) is not float and type(value) is not int:
-            raise FileFormatError(f"{what} must be a number")
-        try:
-            return float(value)
-        except OverflowError:
-            raise FileFormatError(f"{what} is out of range") from None
-
-    def parse(d) -> Node:
-        if not isinstance(d, dict) or "type" not in d:
-            raise FileFormatError("node must be an object with a 'type'")
-        kind = d["type"]
-        if kind == "terminal":
-            return Terminal(number(d.get("payoff"), "terminal 'payoff'"))
-        if kind == "chance":
-            outs = d.get("outcomes")
-            if not isinstance(outs, list) or not outs:
-                raise FileFormatError("chance node needs a nonempty 'outcomes' list")
-            parsed = []
-            for o in outs:
-                if not isinstance(o, dict) or "p" not in o or "child" not in o:
-                    raise FileFormatError("chance outcome needs 'p' and 'child'")
-                parsed.append((number(o["p"], "chance outcome 'p'"), parse(o["child"])))
-            return Chance(tuple(parsed))
-        if kind == "decision":
-            if type(d.get("player")) is not int or not isinstance(d.get("infoset"), str):
-                raise FileFormatError("decision node needs integer 'player' and string 'infoset'")
-            acts = d.get("actions")
-            if not isinstance(acts, list) or not acts:
-                raise FileFormatError("decision node needs a nonempty 'actions' list")
-            parsed = []
-            for a in acts:
-                if not isinstance(a, dict) or "label" not in a or "child" not in a:
-                    raise FileFormatError("action needs 'label' and 'child'")
-                parsed.append((str(a["label"]), parse(a["child"])))
-            return Decision(d["player"], d["infoset"], tuple(parsed))
-        raise FileFormatError(f"unknown node type {kind!r}")
-
-    return ExtensiveFormGame(root=parse(doc["root"]))

@@ -215,6 +215,8 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
         **_window(K, np.concatenate(parts)))
 
 
+# overflow surfaces as the typed divergence error below, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     """Run one iteration in place and return the state.
 
@@ -231,42 +233,42 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     z1, dz, u1, w1, y1, x1, du, dw = state.scratch
     # a 0-d array multiplies as a vector operand does, with none of a Python float's dispatch
     lam = np.array(state.lam)
-    # overflow surfaces as the typed divergence error below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(state.g, c[:m], out=u1)
-        u1 *= lam
-        np.subtract(u0, u1, out=u1)
-        np.maximum(y1, _ZERO, out=y1)
-        Ku = K.matvec(u1)
-        Ku -= c[m:]
-        Ku *= lam
-        np.add(w0, Ku, out=w1)
-        del Ku  # so the two products' results are never held at once
-        np.maximum(x1, _ZERO, out=x1)
-        np.subtract(w1, w0, out=dw)
-        dg = K.transpose_matvec(dw)
-        state.g += dg
-        dg *= lam
-        u1 -= dg
-        np.subtract(u1, u0, out=du)
-        state.v += dz
-        z[:] = z1
-        state.z_sum += z
-        state.k += 1
-        state.steps += 1
-    if not np.isfinite(z).all():
+    np.add(state.g, c[:m], out=u1)
+    u1 *= lam
+    np.subtract(u0, u1, out=u1)
+    np.maximum(y1, _ZERO, out=y1)
+    Ku = K.matvec(u1)
+    Ku -= c[m:]
+    Ku *= lam
+    np.add(w0, Ku, out=w1)
+    del Ku  # so the two products' results are never held at once
+    np.maximum(x1, _ZERO, out=x1)
+    np.subtract(w1, w0, out=dw)
+    dg = K.transpose_matvec(dw)
+    state.g += dg
+    dg *= lam
+    u1 -= dg
+    np.subtract(u1, u0, out=du)
+    state.v += dz
+    z[:] = z1
+    state.z_sum += z
+    state.k += 1
+    state.steps += 1
+    # a non-finite entry makes the sum non-finite; only a finite sum past
+    # the largest double falls through to the entrywise check
+    if not math.isfinite(np.add.reduce(z)) and not np.isfinite(z).all():
         raise DivergenceError(
             f"non-finite value in iterate at iteration {state.steps}", iteration=state.steps)
     return state
 
 
+# overflow surfaces as the divergence error step raises, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def residual(state: SolverState) -> float:
     """Convergence certificate ||v|| / (k * lambda); defined for k >= 1."""
     if state.k < 1:
         raise ValueError("residual is undefined before the first iteration")
-    # overflow surfaces as the divergence error step raises, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return math.sqrt(state.v @ state.v) / (state.k * state.lam)
+    return math.sqrt(state.v @ state.v) / (state.k * state.lam)
 
 
 def ergodic_average(state: SolverState) -> Quadruplet:
@@ -330,6 +332,7 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     """
     if config is None:
         config = SolverConfig()
+    epsilon, max_iter, trace_every = config.epsilon, config.max_iter, config.trace_every
     t0 = time.perf_counter()
     state = init(game)
     trace: list[TracePoint] = []
@@ -337,10 +340,10 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     while True:
         step(state, game)
         res = residual(state)
-        done = res < config.epsilon or state.steps >= config.max_iter
-        if done or (config.trace_every and state.steps % config.trace_every == 0):
+        done = res < epsilon or state.steps >= max_iter
+        if done or (trace_every and state.steps % trace_every == 0):
             point, evaluation = _trace_point(state, game, t0, res)
-            if config.trace_every:
+            if trace_every:
                 trace.append(point)
         if done:
             break
@@ -353,9 +356,9 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
 
     x_plan, y_plan, value, gap, feas = evaluation
     return SolveReport(
-        converged=res < config.epsilon,
+        converged=res < epsilon,
         iterations=state.steps,
-        epsilon=config.epsilon,
+        epsilon=epsilon,
         lam=state.lam,
         norm_K=state.norm_K,
         residual=res,

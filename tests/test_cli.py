@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import seqform
-from seqform import FileFormatError, efg_from_dict, random_matrix_game, to_sequence_form
+from seqform import FileFormatError, random_matrix_game
 from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
                          render_json, write_trace_csv)
 from seqform.solver import TracePoint
@@ -39,25 +39,18 @@ def test_unknown_command_is_usage_error():
 
 
 def test_make_game_kuhn(tmp_path, capsys, kuhn):
-    out = tmp_path / "kuhn.json"
-    assert main(["make-game", "kuhn", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"wrote {out}", f"wrote {tmp_path / 'kuhn.efg.json'}"]
-
-    game = SequenceFormGame.from_dict(json.loads(read(out)))
     _, expected, _ = kuhn
-    assert game.A.triplets() == expected.A.triplets()
-    assert main(["validate", str(out)]) == 0
-
-    efg = efg_from_dict(json.loads(read(tmp_path / "kuhn.efg.json")))
-    regame, _ = to_sequence_form(efg)
-    assert regame.A.triplets() == expected.A.triplets()
-
-
-def test_make_game_kuhn_without_json_suffix(tmp_path):
-    out = tmp_path / "kuhn.game"
-    assert main(["make-game", "kuhn", "--out", str(out)]) == 0
-    assert (tmp_path / "kuhn.game.efg.json").exists()
+    # the tree is compiled in memory; the sequence form is the only file written
+    for name in ("kuhn.json", "kuhn.game"):
+        out_dir = tmp_path / name.replace(".", "_")
+        out_dir.mkdir()
+        out = out_dir / name
+        assert main(["make-game", "kuhn", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out}"]
+        assert [p.name for p in out_dir.iterdir()] == [name]
+        game = SequenceFormGame.from_dict(json.loads(read(out)))
+        assert game.A.triplets() == expected.A.triplets()
+        assert main(["validate", str(out)]) == 0
 
 
 def test_make_game_random_matrix(tmp_path):
@@ -410,10 +403,15 @@ def test_solve_source_conflicts(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["make-game", "random-matrix", "--rows", "1000000", "--cols", "1000000", "--out", "rm.json"],
     ["bench", "--sizes", "1000000", "--seeds", "0"],
-], ids=["make-game", "bench"])
+    ["bench", "--sizes", "2,1000000", "--seeds", "0"],
+], ids=["make-game", "bench", "bench-later-size"])
 def test_random_matrix_too_large_to_allocate_is_usage_error(tmp_path, monkeypatch, capsys, argv):
-    # stands in for numpy refusing the 8 TB draw; no test allocates one
+    # stands in for numpy refusing the 8 TB draw; no test allocates one.
+    # bench solves its whole grid before it writes, so a refused later size
+    # leaves no --out-dir behind either
     def refuse(rows, cols, seed):
+        if rows < 1000000:
+            return random_matrix_game(rows, cols, seed)
         raise MemoryError(f"Unable to allocate an array with shape ({rows}, {cols})")
 
     monkeypatch.chdir(tmp_path)
@@ -421,7 +419,7 @@ def test_random_matrix_too_large_to_allocate_is_usage_error(tmp_path, monkeypatc
     assert main(argv) == 2
     assert capsys.readouterr().err == ("error: game too large to allocate: "
                                        "Unable to allocate an array with shape (1000000, 1000000)\n")
-    assert not (tmp_path / "rm.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

@@ -4,11 +4,14 @@ Each example takes a game file, applies one to three mutations (a key
 dropped or retyped, a dimension inflated, triplets duplicated or
 permuted, a NaN or Infinity literal, a value nested deep in lists) and
 may truncate the text, then runs `validate` and a five-step `solve` on
-it. The games are Kuhn poker, whose K multiplies as a dense array, and
-a depth-4 ternary treeplex game, whose 162x162 K with 443 entries
-multiplies through compressed rows. Inputs that once escaped as an
-exception are kept as explicit examples, and so are treeplex files that
-get past the parse, which few drawn ones do.
+it, in time linear in the file's bytes. The games are Kuhn poker, whose
+K multiplies as a dense array, and a depth-4 ternary treeplex game,
+whose 162x162 K with 443 entries multiplies through compressed rows.
+Few mutated files get past the parse, so half the treeplex files
+instead take one to three edits that keep the file well formed (a
+payoff changed, an E index moved within bounds, an E entry's sign
+flipped) and reach the decoder, and many of them the product. Inputs
+that once escaped as an exception are kept as explicit examples.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +34,9 @@ TREEPLEX = ternary_game(4).to_dict()
 VALIDATE_CODES = {0, 1, 2}
 SOLVE_CODES = {0, 1, 2, 3, 4}
 NEST = "__nest__"
+# a time bound per byte of a file, 20 times the most, 5 us, the checks have taken
+SECONDS_PER_BYTE = 1e-4
+MIN_BYTES = 10_000
 
 
 def paths(doc, prefix=()):
@@ -108,6 +115,34 @@ def non_finite(doc, draw):
 MUTATIONS = [drop, retype, inflate, reshuffle, non_finite]
 
 
+def repay(doc, draw):
+    """Change one payoff to another finite number."""
+    path = pick(draw, [p for p in numbers(doc) if p[:2] == ("A", "triplets") and p[3] == 2])
+    if path is not None:
+        put(doc, path, draw(st.floats(-1e3, 1e3)))
+
+
+def move(doc, draw):
+    """Move one row or column index of E1 or E2 to another within the matrix's bounds."""
+    path = pick(draw, [p for p in numbers(doc) if p[0] in ("E1", "E2") and p[1] == "triplets"
+                       and p[3] < 2])
+    if path is not None:
+        bound = doc[path[0]]["rows" if path[3] == 0 else "cols"]
+        put(doc, path, draw(st.integers(0, bound - 1)))
+
+
+def flip(doc, draw):
+    """Flip the sign of one entry of E1 or E2."""
+    path = pick(draw, [p for p in numbers(doc) if p[0] in ("E1", "E2") and p[1] == "triplets"
+                       and p[3] == 2])
+    if path is not None:
+        put(doc, path, -get(doc, path))
+
+
+# edits in place that keep the file a well-formed game, so it reaches the decoder and K
+IN_BOUNDS = [repay, move, flip]
+
+
 def nest(doc, draw) -> str:
     """The document's JSON text with one value wrapped in a run of list brackets."""
     path = draw(st.sampled_from(list(paths(doc))))
@@ -133,6 +168,15 @@ def mutated(draw, game) -> bytes:
     return data
 
 
+@st.composite
+def edited_in_bounds(draw, game) -> bytes:
+    """The game file after one to three edits that keep it well formed."""
+    doc = json.loads(json.dumps(game))
+    for edit in draw(st.lists(st.sampled_from(IN_BOUNDS), min_size=1, max_size=3)):
+        edit(doc, draw)
+    return json.dumps(doc).encode()
+
+
 def edited(game, edit) -> bytes:
     """The game file after edit has changed a copy of its document in place."""
     doc = json.loads(json.dumps(game))
@@ -149,15 +193,22 @@ def run(argv) -> int:
 
 
 def check_exit_codes(data: bytes) -> None:
-    """validate and a five-step solve of the file data end in documented exit codes."""
+    """validate and a five-step solve of the file data end in documented exit codes.
+
+    The two take time linear in the file: at most SECONDS_PER_BYTE per
+    byte, a generous bound, on a file of at least MIN_BYTES.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         game = os.path.join(tmp, "game.json")
         with open(game, "wb") as fh:
             fh.write(data)
+        t0 = time.perf_counter()
         assert run(["validate", game]) in VALIDATE_CODES
         assert run(["solve", game, "--max-iters", "5",
                     "--report", os.path.join(tmp, "report.json"),
                     "--trace", os.path.join(tmp, "trace.csv")]) in SOLVE_CODES
+        elapsed = time.perf_counter() - t0
+    assert elapsed < SECONDS_PER_BYTE * max(len(data), MIN_BYTES)
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,7 +220,7 @@ def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(mutated(TREEPLEX))
+@given(st.one_of(mutated(TREEPLEX), edited_in_bounds(TREEPLEX)))
 # triplets out of order (solve exits 3 after five steps) and a payoff that overflows the
 # norm estimate (solve exits 1), both multiplied through compressed rows
 @example(edited(TREEPLEX, lambda doc: doc["A"]["triplets"].reverse()))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from seqform import (Chance, CompileError, Decision, DimensionError,
-                     ExtensiveFormGame, FileFormatError, SparseMatrix,
-                     StructureError, Terminal, best_response, duality_gap,
-                     efg_from_dict, efg_to_dict, expected_value, kuhn_poker,
-                     random_matrix_game, simplex_game, to_sequence_form)
+                     ExtensiveFormGame, SparseMatrix, StructureError,
+                     Terminal, best_response, duality_gap, expected_value,
+                     kuhn_poker, random_matrix_game, simplex_game,
+                     to_sequence_form)
 from seqform.games import SequenceEntry
 from seqform.oracle import embed_behavioral_strategy, enumerate_vertices
 
@@ -175,41 +175,3 @@ def test_expected_value():
     with pytest.raises(DimensionError):
         expected_value(game, [0.5, 0.5], [1.0])
 
-
-def test_efg_dict_round_trip(kuhn):
-    efg, game, _ = kuhn
-    doc = efg_to_dict(efg)
-    assert doc["players"] == 2
-    assert doc["root"]["type"] == "chance"
-    again = efg_from_dict(doc)
-    regame, _ = to_sequence_form(again)
-    assert regame.A.triplets() == game.A.triplets()
-    assert regame.labels == game.labels
-
-
-@pytest.mark.parametrize("doc", [
-    {"players": 2},
-    {"root": {"payoff": 1.0}},
-    {"root": {"type": "roll"}},
-    {"root": {"type": "terminal"}},
-    {"root": {"type": "terminal", "payoff": True}},
-    {"root": {"type": "chance", "outcomes": []}},
-    {"root": {"type": "chance", "outcomes": [{"p": 1.0}]}},
-    {"root": {"type": "decision", "player": "1", "infoset": "s",
-              "actions": [{"label": "a", "child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "decision", "player": 1, "infoset": "s", "actions": []}},
-    {"root": {"type": "decision", "player": 1, "infoset": "s",
-              "actions": [{"child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "chance",
-              "outcomes": [{"p": "abc", "child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "chance",
-              "outcomes": [{"p": [1], "child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "chance",
-              "outcomes": [{"p": True, "child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "decision", "player": True, "infoset": "s",
-              "actions": [{"label": "a", "child": {"type": "terminal", "payoff": 0}}]}},
-    {"root": {"type": "terminal", "payoff": 10 ** 400}},
-])
-def test_efg_from_dict_rejects_malformed(doc):
-    with pytest.raises(FileFormatError):
-        efg_from_dict(doc)

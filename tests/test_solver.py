@@ -318,6 +318,16 @@ def test_divergence_raises(kuhn, monkeypatch):
     assert err.value.iteration == 18
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game):
+    # step checks the sum of z first; finite entries whose sum overflows
+    # fall through to the entrywise check and are not a divergence
+    state = init(trivial_game, start=([0.0], [-1.5e308], [0.0], [1e308]))
+    step(state, trivial_game)
+    assert state.z.tolist() == [0.0, 0.0, 1.5e308, 1e308]
+    assert sum(state.z.tolist()) == math.inf
+
+
 def test_kuhn_converges_to_known_value(kuhn):
     _, game, _ = kuhn
     report = solve(game, SolverConfig(epsilon=1e-3))
