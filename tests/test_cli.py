@@ -38,19 +38,23 @@ def test_unknown_command_is_usage_error():
     assert err.value.code == 2
 
 
-def test_make_game_kuhn(tmp_path, capsys, kuhn):
-    _, expected, _ = kuhn
+def check_make_game_kuhn(tmp_path, capsys, expected, name):
     # the tree is compiled in memory; the sequence form is the only file written
-    for name in ("kuhn.json", "kuhn.game"):
-        out_dir = tmp_path / name.replace(".", "_")
-        out_dir.mkdir()
-        out = out_dir / name
-        assert main(["make-game", "kuhn", "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines() == [f"wrote {out}"]
-        assert [p.name for p in out_dir.iterdir()] == [name]
-        game = SequenceFormGame.from_dict(json.loads(read(out)))
-        assert game.A.triplets() == expected.A.triplets()
-        assert main(["validate", str(out)]) == 0
+    out = tmp_path / name
+    assert main(["make-game", "kuhn", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out}"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    game = SequenceFormGame.from_dict(json.loads(read(out)))
+    assert game.A.triplets() == expected.A.triplets()
+    assert main(["validate", str(out)]) == 0
+
+
+def test_make_game_kuhn(tmp_path, capsys, kuhn):
+    check_make_game_kuhn(tmp_path, capsys, kuhn[1], "kuhn.json")
+
+
+def test_make_game_kuhn_without_json_suffix(tmp_path, capsys, kuhn):
+    check_make_game_kuhn(tmp_path, capsys, kuhn[1], "kuhn.game")
 
 
 def test_make_game_random_matrix(tmp_path):
