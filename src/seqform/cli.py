@@ -1,9 +1,9 @@
-"""Command line interface: build, validate, solve, and benchmark games.
+"""Command line interface: build, validate and solve games.
 
 make-game writes one sequence-form file, kuhn or random-matrix, the one
 kind that takes --rows, --cols and --seed; solve reads a game file or
 --builtin kuhn, so a random matrix game is solved from its make-game
-file; bench solves a grid of them.
+file.
 
 All files are written deterministically: floating-point numbers are
 serialized with 17 significant digits (enough to round-trip doubles),
@@ -28,7 +28,6 @@ import json
 import math
 import shutil
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import (DivergenceError, FileFormatError, SeqformError,
@@ -182,27 +181,6 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _int_list(item):
-    """A parser of comma-separated integers, each read by item."""
-    def parse(text: str) -> list[int]:
-        items = [item(part) for part in text.split(",") if part != ""]
-        if not items:
-            raise argparse.ArgumentTypeError("expected at least one integer")
-        return items
-    return parse
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=_positive_float, default=SolverConfig.epsilon,
-                   help="target residual (default %(default)s)")
-    p.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iter,
-                   help="iteration budget (default %(default)s)")
-    p.add_argument("--trace-every", type=_nonnegative_int, default=100,
-                   help="record a trace row every N iterations (default 100)")
-    p.add_argument("--timing", action="store_true",
-                   help="write real elapsed_ms values (costs reproducibility)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     # HelpFormatter would otherwise query the terminal once per argument
     fmt = functools.partial(argparse.HelpFormatter,
@@ -230,22 +208,19 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("game", nargs="?", help="path to a sequence-form JSON file")
     so.add_argument("--builtin", choices=["kuhn"],
                     help="solve a built-in game instead of a file")
-    _add_solver_flags(so)
+    so.add_argument("--epsilon", type=_positive_float, default=SolverConfig.epsilon,
+                    help="target residual (default %(default)s)")
+    so.add_argument("--max-iters", type=_positive_int, default=SolverConfig.max_iter,
+                    help="iteration budget (default %(default)s)")
+    so.add_argument("--trace-every", type=_nonnegative_int, default=100,
+                    help="record a trace row every N iterations (default 100)")
+    so.add_argument("--timing", action="store_true",
+                    help="write real elapsed_ms values (costs reproducibility)")
     so.add_argument("--report", default="report.json", help="report path (default report.json)")
     so.add_argument("--trace", default="trace.csv", help="trace path (default trace.csv)")
     so.add_argument("--strategies", default=None,
                     help="optional path for the computed strategies")
     so.set_defaults(func=cmd_solve)
-
-    be = sub.add_parser("bench", formatter_class=fmt,
-                        help="solve random matrix games over a size/seed grid")
-    be.add_argument("--sizes", type=_int_list(_positive_int), required=True,
-                    help="comma-separated square sizes, e.g. 100,200")
-    be.add_argument("--seeds", type=_int_list(_nonnegative_int), required=True,
-                    help="comma-separated seeds, e.g. 0,1,2")
-    _add_solver_flags(be)
-    be.add_argument("--out-dir", default="bench", help="directory for traces (default bench)")
-    be.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -279,13 +254,6 @@ def cmd_validate(args) -> int:
         _print_violations(violations, sys.stdout)
         return 1
     return 0
-
-
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        epsilon=args.epsilon,
-        max_iter=args.max_iters,
-        trace_every=args.trace_every)
 
 
 def _manifest(args, game_desc: dict) -> dict:
@@ -355,42 +323,14 @@ def cmd_solve(args) -> int:
         game = _load_game_file(args.game, hasher)
         game_desc = {"path": args.game, "sha256": hasher.hexdigest()}
 
-    report = solve(game, _config_from_args(args))
+    report = solve(game, SolverConfig(epsilon=args.epsilon, max_iter=args.max_iters,
+                                      trace_every=args.trace_every))
     write_trace_csv(args.trace, report.trace, args.timing)
     _write_json(args.report, _report_dict(report, _manifest(args, game_desc)))
     if args.strategies:
         _write_json(args.strategies, _strategies_dict(report))
     print(_summary_line(report))
     return 0 if report.converged else 3
-
-
-def cmd_bench(args) -> int:
-    """Solve the whole grid, then write every trace and summary.csv.
-
-    So a grid refused part way, at a size too large to allocate, writes nothing.
-    """
-    rows = ["size,seed,converged,iterations,residual,value,duality_gap,elapsed_ms"]
-    traces = {}
-    all_converged = True
-    config = _config_from_args(args)
-    for size in args.sizes:
-        for seed in args.seeds:
-            report = solve(random_matrix_game(size, size, seed), config)
-            traces[f"trace_{size}x{size}_seed{seed}.csv"] = report.trace
-            elapsed_ms = report.elapsed * 1000.0 if args.timing else 0.0
-            rows.append(",".join([
-                str(size), str(seed), "1" if report.converged else "0",
-                str(report.iterations), _fmt_float(report.residual),
-                _fmt_float(report.value), _fmt_float(report.duality_gap),
-                _fmt_float(elapsed_ms)]))
-            all_converged = all_converged and report.converged
-            print(f"size={size} seed={seed} {_summary_line(report)}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, trace in traces.items():
-        write_trace_csv(str(out_dir / name), trace, args.timing)
-    _write_text(str(out_dir / "summary.csv"), "\n".join(rows) + "\n")
-    return 0 if all_converged else 3
 
 
 def main(argv=None) -> int:

@@ -162,7 +162,6 @@ class SolveReport:
     y_plan: np.ndarray
     trace: list = field(default_factory=list)
     restarts: list = field(default_factory=list)
-    elapsed: float = 0.0
 
 
 def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
@@ -369,5 +368,4 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         x_plan=x_plan,
         y_plan=y_plan,
         trace=trace,
-        restarts=restarts,
-        elapsed=time.perf_counter() - t0)
+        restarts=restarts)

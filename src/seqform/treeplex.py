@@ -400,10 +400,11 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
 
     Clips negatives, pins the root to one, and rescales each information
     set's sequences to carry exactly their parent's mass, one depth level
-    at a time from the root down. An information
-    set whose entries are all zero splits its parent mass uniformly. The
-    result is always feasible, and feasible inputs pass through
-    unchanged up to roundoff.
+    at a time from the root down. An information set whose entries are
+    all zero splits its parent mass uniformly; one whose positive total
+    is too small to divide that mass by gives each entry its fraction of
+    the total times the mass. The result is always feasible, and feasible
+    inputs pass through unchanged up to roundoff.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (index.num_sequences,):
@@ -418,15 +419,24 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
         return np.full(index.num_sequences, 1.0 / index.num_sequences)
     out = np.zeros(index.num_sequences)
     out[0] = 1.0
-    for level in index.levels:
-        mass = out[level.parents]
-        part = w[level.seqs]
-        # bincount adds each set's entries in order, as a running sum would
-        total = np.bincount(level.owner, weights=part, minlength=level.sizes.size)
-        spread = total > 0.0
-        scale = mass / np.where(spread, total, 1.0)
-        out[level.seqs] = np.where(spread[level.owner], part * scale[level.owner],
-                                   (mass / level.sizes)[level.owner])
+    # a positive total too small to divide the mass by overflows scale,
+    # and a zero entry times that infinite scale is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in index.levels:
+            mass = out[level.parents]
+            part = w[level.seqs]
+            # bincount adds each set's entries in order, as a running sum would
+            total = np.bincount(level.owner, weights=part, minlength=level.sizes.size)
+            spread = total > 0.0
+            scale = mass / np.where(spread, total, 1.0)
+            share = part * scale[level.owner]
+            tiny = ~np.isfinite(scale)
+            if tiny.any():
+                on = tiny[level.owner]
+                owner = level.owner[on]
+                share[on] = part[on] / total[owner] * mass[owner]
+            out[level.seqs] = np.where(spread[level.owner], share,
+                                       (mass / level.sizes)[level.owner])
     return out
 
 

@@ -78,11 +78,8 @@ def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     ["solve", "--builtin", "kuhn", "--epsilon", "inf"],
     ["solve", "--builtin", "kuhn", "--lambda", "0.5"],
     ["solve", "--builtin", "kuhn", "--trace-every", "-1"],
-    ["bench", "--sizes", "2", "--seeds", "0", "--epsilon", "0"],
-    ["bench", "--sizes", "2", "--seeds", "0", "--trace-every", "-1"],
 ], ids=["make-game-rows-0", "solve-epsilon-0", "solve-epsilon-nan", "solve-epsilon-inf",
-        "solve-lambda-is-unknown", "solve-trace-every-negative",
-        "bench-epsilon-0", "bench-trace-every-negative"])
+        "solve-lambda-is-unknown", "solve-trace-every-negative"])
 def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -406,16 +403,10 @@ def test_solve_source_conflicts(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["make-game", "random-matrix", "--rows", "1000000", "--cols", "1000000", "--out", "rm.json"],
-    ["bench", "--sizes", "1000000", "--seeds", "0"],
-    ["bench", "--sizes", "2,1000000", "--seeds", "0"],
-], ids=["make-game", "bench", "bench-later-size"])
+], ids=["make-game"])
 def test_random_matrix_too_large_to_allocate_is_usage_error(tmp_path, monkeypatch, capsys, argv):
-    # stands in for numpy refusing the 8 TB draw; no test allocates one.
-    # bench solves its whole grid before it writes, so a refused later size
-    # leaves no --out-dir behind either
+    # stands in for numpy refusing the 8 TB draw; no test allocates one
     def refuse(rows, cols, seed):
-        if rows < 1000000:
-            return random_matrix_game(rows, cols, seed)
         raise MemoryError(f"Unable to allocate an array with shape ({rows}, {cols})")
 
     monkeypatch.chdir(tmp_path)
@@ -424,6 +415,13 @@ def test_random_matrix_too_large_to_allocate_is_usage_error(tmp_path, monkeypatc
     assert capsys.readouterr().err == ("error: game too large to allocate: "
                                        "Unable to allocate an array with shape (1000000, 1000000)\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_the_three_commands(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert "{make-game,validate,solve}" in capsys.readouterr().out
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):
@@ -467,50 +465,10 @@ def test_solve_invalid_game_exit_code(tmp_path, capsys):
     assert "first entry must be 1" in capsys.readouterr().err
 
 
-def test_bench_grid(tmp_path, capsys):
-    out_dir = tmp_path / "bench"
-    args = ["bench", "--sizes", "4,6", "--seeds", "0,1",
-            "--epsilon", "2e-2", "--out-dir", str(out_dir)]
-    assert main(args) == 0
-    lines = read(out_dir / "summary.csv").splitlines()
-    assert lines[0] == "size,seed,converged,iterations,residual,value,duality_gap,elapsed_ms"
-    assert len(lines) == 5
-    assert all(line.split(",")[2] == "1" for line in lines[1:])
-    for size in (4, 6):
-        for seed in (0, 1):
-            trace = out_dir / f"trace_{size}x{size}_seed{seed}.csv"
-            assert read(trace).splitlines()[0] == TRACE_HEADER
-    capsys.readouterr()
-
-    first = (out_dir / "summary.csv").read_bytes()
-    assert main(args) == 0
-    assert (out_dir / "summary.csv").read_bytes() == first
-
-
-def test_bench_nonconvergence_exit_code(tmp_path):
-    out_dir = tmp_path / "bench"
-    assert main(["bench", "--sizes", "4", "--seeds", "0", "--max-iters", "3",
-                 "--out-dir", str(out_dir)]) == 3
-    summary = read(out_dir / "summary.csv").splitlines()
-    assert summary[1].split(",")[2] == "0"
-
-
-def test_bench_rejects_bad_size_list():
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--sizes", "4;6", "--seeds", "0"])
-    assert err.value.code == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["make-game", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-1", "--out", "x.json"],
     ["solve", "--builtin", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-5"],
-    ["bench", "--sizes", "2", "--seeds", "-1"],
-    ["bench", "--sizes", "2", "--seeds", "0,-1"],
-    ["bench", "--sizes", "0", "--seeds", "0"],
-    ["bench", "--sizes", "2,-3", "--seeds", "0"],
-    ["bench", "--sizes", ",", "--seeds", "0"],
-], ids=["make-game-seed", "solve-seed", "bench-seed", "bench-second-seed", "bench-size-0",
-        "bench-second-size", "bench-no-size"])
+], ids=["make-game-seed", "solve-seed"])
 def test_negative_seeds_and_nonpositive_sizes_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                                argv):
     monkeypatch.chdir(tmp_path)

@@ -225,5 +225,8 @@ def test_mutated_kuhn_files_end_in_documented_exit_codes(data):
 # norm estimate (solve exits 1), both multiplied through compressed rows
 @example(edited(TREEPLEX, lambda doc: doc["A"]["triplets"].reverse()))
 @example(edited(TREEPLEX, lambda doc: put(doc, ("A", "triplets", 0, 2), 1e200)))
+# a payoff near the smallest normal double: once an information set's tiny positive total
+# overflowed the normalization, the trace writer met NaN and solve ended in a traceback
+@example(edited(TREEPLEX, lambda doc: put(doc, ("A", "triplets", 40, 2), -1.1125369292536007e-308)))
 def test_mutated_treeplex_files_end_in_documented_exit_codes(data):
     check_exit_codes(data)

@@ -443,6 +443,13 @@ def test_normalize_tree():
     assert np.array_equal(out, [1.0, 0.0, 1.0, 0.0, 0.0])
 
 
+def test_normalize_set_whose_total_is_too_small_to_divide_by():
+    # 1 / 1e-313 overflows; the set's one positive entry takes all the mass
+    E = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 0, -1.0), (1, 1, 1.0), (1, 2, 1.0)])
+    index = build_treeplex_index(E, np.array([1.0, 0.0]))
+    assert np.array_equal(normalize_to_polytope(index, [1.0, 1e-313, -1.0]), [1.0, 1.0, 0.0])
+
+
 def test_normalize_dimension_error():
     E, e = two_level_treeplex()
     index = build_treeplex_index(E, e)
