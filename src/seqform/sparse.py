@@ -34,13 +34,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .errors import DimensionError, FileFormatError, ValidationError
+from .errors import DimensionError, FileFormatError
 
 Triplet = tuple[int, int, float]
 
 # Extra margin applied to rel_tol when testing the Ritz residual, so the
 # returned value is comfortably inside the advertised accuracy.
 _STOP_SAFETY = 0.005
+# Most rounds one estimate runs; an estimate that reaches it is not converged.
+_MAX_ROUNDS = 5000
 # Most Lanczos vectors kept at once; a full basis restarts the iteration.
 # Up to 25, eigh solves the tridiagonal by QR steps; above, LAPACK
 # switches to divide and conquer, which calls multithreaded BLAS.
@@ -266,18 +268,18 @@ class SpectralEstimate(NamedTuple):
 
 # huge entries overflow K^T K, which ends the estimate as infinite, not a warning
 @np.errstate(over="ignore", invalid="ignore")
-def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
-                  max_iter: int = 5000, seed: int = 0) -> SpectralEstimate:
+def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstimate:
     """Estimate the largest singular value by the Lanczos method.
 
-    Runs Lanczos on the normal matrix K^T K from a seeded random start,
-    never forming it: each round is one forward and one transposed
-    product. Each new Lanczos vector is reorthogonalized against the
-    whole basis, which holds at most _MAX_BASIS vectors; a full basis
-    restarts Lanczos from the top Ritz vector. The iteration stops once
-    the residual of the top Ritz pair is at most _STOP_SAFETY * rel_tol
-    times its Ritz value, and returns ||K x|| for the normalized top Ritz
-    vector x. That is a Rayleigh quotient: up to rounding it never
+    Runs Lanczos on the normal matrix K^T K from a fixed random start
+    (default_rng(0)), never forming it: each round is one forward and
+    one transposed product. Each new Lanczos vector is reorthogonalized
+    against the whole basis, which holds at most _MAX_BASIS vectors; a
+    full basis restarts Lanczos from the top Ritz vector. The iteration
+    stops once the residual of the top Ritz pair is at most
+    _STOP_SAFETY * rel_tol times its Ritz value, or after _MAX_ROUNDS
+    rounds, not converged, and returns ||K x|| for the normalized top
+    Ritz vector x. That is a Rayleigh quotient: up to rounding it never
     exceeds the true norm, and its error is of the order of the squared
     residual, so it is accurate to rounding unless the top two singular
     values nearly coincide.
@@ -289,21 +291,18 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
     as on a zero matrix or once the Krylov space has closed, is tested at
     once. A round whose new direction is not finite, as when entries
     near 1e78 overflow K^T K, ends the estimate at once as infinite and
-    not converged. iterations counts rounds. Deterministic for a fixed
-    seed.
+    not converged. iterations counts rounds. Deterministic.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     tol = _STOP_SAFETY * rel_tol
-    size = min(_MAX_BASIS, matrix.cols, max_iter)
+    size = min(_MAX_BASIS, matrix.cols)
     every_round = size < matrix.cols
     basis = np.empty((size, matrix.cols))
     # the tridiagonal projection of K^T K; eigh reads the lower triangle
     T = np.zeros((size, size))
     q = basis[0]
-    q[:] = np.random.default_rng(seed).standard_normal(matrix.cols)
+    q[:] = np.random.default_rng(0).standard_normal(matrix.cols)
     q /= np.linalg.norm(q)
     j = it = 0
     while True:
@@ -322,13 +321,13 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
             return SpectralEstimate(math.inf, False, it)
         j += 1
         # the Ritz residual is at most beta, and the top Ritz value at least alpha
-        if every_round or j == size or it == max_iter or beta <= tol * abs(alpha):
+        if every_round or j == size or it == _MAX_ROUNDS or beta <= tol * abs(alpha):
             ritz, vecs = np.linalg.eigh(T[:j, :j])
             converged = beta * abs(float(vecs[-1, -1])) <= tol * abs(float(ritz[-1]))
-            if converged or j == size or it == max_iter:
+            if converged or j == size or it == _MAX_ROUNDS:
                 x = np.einsum("i,ij->j", vecs[:, -1], seen)
                 x /= np.linalg.norm(x)
-                if converged or it == max_iter:
+                if converged or it == _MAX_ROUNDS:
                     return SpectralEstimate(float(np.linalg.norm(matrix.matvec(x))), converged, it)
                 q, j = basis[0], 0
                 q[:] = x
@@ -338,16 +337,12 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6,
 
 
 def build_K(game) -> SparseMatrix:
-    """The game's saddle-point operator [[A, -E1^T], [E2, 0]], once validated.
+    """The game's saddle-point operator [[A, -E1^T], [E2, 0]].
 
     The result has shape (n1 + l2) x (n2 + l1) and its norm sets the
-    solver's step size. The game is validated first; then the game's one
-    K is returned, assembled on its first use, so every call and the
-    evaluators share the same operator.
+    solver's step size. It is the game's one K, validated and assembled
+    on its first use (SequenceFormGame._K), so every call, a solve and
+    the evaluators share the same operator; an invalid game raises
+    ValidationError.
     """
-    from .treeplex import validate_sequence_form
-
-    violations = validate_sequence_form(game)
-    if violations:
-        raise ValidationError(violations)
     return game._K

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (DimensionError, FeasibilityWarning, FileFormatError,
-                     StructureError)
+                     StructureError, ValidationError)
 from .sparse import SparseMatrix
 
 # Largest constraint residual, or most negative entry, duality_gap takes as feasible
@@ -100,13 +101,14 @@ class SequenceFormGame:
     def _K(self) -> SparseMatrix:
         """The saddle-point operator [[A, -E1^T], [E2, 0]], assembled once.
 
-        build_K validates the game before handing it out; the evaluators
-        read it here, so a payoff block that does not fit E1 and E2 is
-        refused here too.
+        The game is validated first, and an invalid one raises
+        ValidationError listing every violation, so build_K, a solve and
+        the evaluators all read one K that exists only for a valid game.
         """
+        violations = validate_sequence_form(self)
+        if violations:
+            raise ValidationError(violations)
         n1, n2 = self.n1, self.n2
-        if self.A.shape != (n1, n2):
-            raise DimensionError(f"A must be {n1}x{n2} to match E1 and E2, got {self.A.rows}x{self.A.cols}")
         (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
             m._coo() for m in (self.A, self.E1, self.E2))
         return SparseMatrix.__new__(SparseMatrix)._from_arrays(
@@ -401,10 +403,11 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
     Clips negatives, pins the root to one, and rescales each information
     set's sequences to carry exactly their parent's mass, one depth level
     at a time from the root down. An information set whose entries are
-    all zero splits its parent mass uniformly; one whose positive total
-    is too small to divide that mass by gives each entry its fraction of
-    the total times the mass. The result is always feasible, and feasible
-    inputs pass through unchanged up to roundoff.
+    all zero splits its parent mass uniformly. One whose positive total
+    is too small to divide that mass by, or too large to be a double,
+    first divides its entries by their largest, then gives each result
+    its fraction of their sum times the mass. The result is always
+    feasible, and feasible inputs pass through unchanged up to roundoff.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (index.num_sequences,):
@@ -413,14 +416,18 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
         )
     w = np.maximum(z, 0.0)
     if index.simplex:
-        s = float(w.sum())
+        with np.errstate(over="ignore"):
+            s = float(w.sum())
+        if math.isinf(s):
+            w = w / w.max()
+            s = float(w.sum())
         if s > 0.0:
             return w / s
         return np.full(index.num_sequences, 1.0 / index.num_sequences)
     out = np.zeros(index.num_sequences)
     out[0] = 1.0
-    # a positive total too small to divide the mass by overflows scale,
-    # and a zero entry times that infinite scale is NaN
+    # a total past the largest double, or a positive one too small to divide
+    # the mass by, overflows; a zero entry times an infinite scale is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for level in index.levels:
             mass = out[level.parents]
@@ -430,11 +437,12 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
             spread = total > 0.0
             scale = mass / np.where(spread, total, 1.0)
             share = part * scale[level.owner]
-            tiny = ~np.isfinite(scale)
-            if tiny.any():
-                on = tiny[level.owner]
+            odd = ~(np.isfinite(total) & np.isfinite(scale))
+            if odd.any():
+                on = odd[level.owner]
                 owner = level.owner[on]
-                share[on] = part[on] / total[owner] * mass[owner]
+                rel = part[on] / np.maximum.reduceat(part, level.starts)[owner]
+                share[on] = rel / np.bincount(owner, weights=rel, minlength=odd.size)[owner] * mass[owner]
             out[level.seqs] = np.where(spread[level.owner], share,
                                        (mass / level.sizes)[level.owner])
     return out
@@ -470,8 +478,6 @@ def feasibility_residuals(game: SequenceFormGame, x, y) -> FeasibilityResiduals:
     E1 x and E2 y are read off K^T (x, 0) and K (y, 0), two products on
     the game's one operator.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     return _residuals(game, x, y, _through_K(game, x, True)[1], _through_K(game, y, False)[1])
 
 
@@ -485,8 +491,6 @@ def duality_gap(game: SequenceFormGame, x, y) -> float:
     game's K give both the gradients, A y and A^T x, and the constraint
     blocks the warning reads.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     ATx, neg_E1x = _through_K(game, x, True)
     Ay, E2y = _through_K(game, y, False)
     res = _residuals(game, x, y, neg_E1x, E2y)

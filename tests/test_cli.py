@@ -71,20 +71,25 @@ def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     assert "requires --rows and --cols" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["make-game", "random-matrix", "--out", "x.json", "--rows", "0", "--cols", "4"],
-    ["solve", "--builtin", "kuhn", "--epsilon", "0"],
-    ["solve", "--builtin", "kuhn", "--epsilon", "nan"],
-    ["solve", "--builtin", "kuhn", "--epsilon", "inf"],
-    ["solve", "--builtin", "kuhn", "--lambda", "0.5"],
-    ["solve", "--builtin", "kuhn", "--trace-every", "-1"],
+@pytest.mark.parametrize("argv, message", [
+    (["make-game", "random-matrix", "--out", "x.json", "--rows", "0", "--cols", "4"],
+     "expected a positive integer, got 0"),
+    (["solve", "--builtin", "kuhn", "--epsilon", "0"], "expected a finite positive number"),
+    (["solve", "--builtin", "kuhn", "--epsilon", "nan"], "expected a finite positive number"),
+    (["solve", "--builtin", "kuhn", "--epsilon", "inf"], "expected a finite positive number"),
+    (["solve", "--builtin", "kuhn", "--lambda", "0.5"], "unrecognized arguments: --lambda"),
+    (["solve", "--builtin", "kuhn", "--trace-every", "-1"], "expected a nonnegative integer, got -1"),
+    (["solve", "--builtin", "kuhn", "--max-iters", "2.5"], "expected an integer, got '2.5'"),
+    (["solve", "--builtin", "kuhn", "--epsilon", "abc"], "expected a number, got 'abc'"),
 ], ids=["make-game-rows-0", "solve-epsilon-0", "solve-epsilon-nan", "solve-epsilon-inf",
-        "solve-lambda-is-unknown", "solve-trace-every-negative"])
-def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, argv):
+        "solve-lambda-is-unknown", "solve-trace-every-negative", "solve-max-iters-not-integer",
+        "solve-epsilon-not-number"])
+def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_validate_reports_each_violation(tmp_path, capsys):
@@ -236,13 +241,16 @@ def test_payoff_block_past_the_sequences_is_a_parse_error_and_a_smaller_one_a_vi
         tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = random_matrix_game(3, 2, 5).to_dict()
-    for rows, code in ((4, 2), (2, 1)):
+    for shape, code, violations in (
+            ({"rows": 4}, 2, []),
+            ({"rows": 2}, 1, ["A rows: must match the 3 player 1 sequences, got 2"]),
+            ({"cols": 1}, 1, ["A cols: must match the 2 player 2 sequences, got 1"])):
         (tmp_path / "g.json").write_text(
-            json.dumps(dict(doc, A=dict(doc["A"], rows=rows, triplets=[]))), encoding="utf-8")
+            json.dumps(dict(doc, A=dict(doc["A"], **shape, triplets=[]))), encoding="utf-8")
         assert main(["validate", "g.json"]) == code
         out, err = capsys.readouterr()
         assert ("too large" in err) == (code == 2)
-        assert ("A rows: must match the 3 player 1 sequences, got 2" in out) == (code == 1)
+        assert out.splitlines() == violations
 
 
 def test_load_game_file_hashes_the_bytes_it_parses(tmp_path):
@@ -467,8 +475,7 @@ def test_solve_invalid_game_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["make-game", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-1", "--out", "x.json"],
-    ["solve", "--builtin", "random-matrix", "--rows", "2", "--cols", "2", "--seed", "-5"],
-], ids=["make-game-seed", "solve-seed"])
+], ids=["make-game-seed"])
 def test_negative_seeds_and_nonpositive_sizes_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                                argv):
     monkeypatch.chdir(tmp_path)

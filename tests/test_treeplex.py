@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
                      SequenceFormGame, SparseMatrix, StructureError,
-                     TreeplexIndex, Violation, best_response, build_treeplex_index,
-                     duality_gap, expected_value, feasibility_residuals,
+                     TreeplexIndex, ValidationError, Violation, best_response,
+                     build_treeplex_index, duality_gap, expected_value, feasibility_residuals,
                      normalize_to_polytope, random_matrix_game, simplex_game,
                      simplex_gap, validate_sequence_form)
 from seqform.oracle import embed_pure_strategy
@@ -85,6 +85,10 @@ def test_payoff_shape_violations(kuhn):
                            e1=game.e1, e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
     assert messages == ["A rows: must match the 13 player 1 sequences, got 3"]
+    bad = SequenceFormGame(A=SparseMatrix.zeros(13, 3), E1=game.E1, E2=game.E2,
+                           e1=game.e1, e2=game.e2)
+    messages = [str(v) for v in validate_sequence_form(bad)]
+    assert messages == ["A cols: must match the 13 player 2 sequences, got 3"]
 
 
 def test_simplex_index():
@@ -443,11 +447,18 @@ def test_normalize_tree():
     assert np.array_equal(out, [1.0, 0.0, 1.0, 0.0, 0.0])
 
 
-def test_normalize_set_whose_total_is_too_small_to_divide_by():
+def test_normalize_set_whose_total_is_too_small_or_too_large_to_divide_by():
     # 1 / 1e-313 overflows; the set's one positive entry takes all the mass
     E = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 0, -1.0), (1, 1, 1.0), (1, 2, 1.0)])
     index = build_treeplex_index(E, np.array([1.0, 0.0]))
     assert np.array_equal(normalize_to_polytope(index, [1.0, 1e-313, -1.0]), [1.0, 1.0, 0.0])
+    # 1e308 + 1e308 overflows; equal entries share the mass equally
+    simplex = build_treeplex_index(SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)]), np.ones(1))
+    assert np.array_equal(normalize_to_polytope(simplex, [1e308, 1e308]), [0.5, 0.5])
+    E, e = two_level_treeplex()
+    out = normalize_to_polytope(build_treeplex_index(E, e), [1.0, 1e308, 1e308, 0.0, 0.0])
+    assert np.array_equal(out, [1.0, 0.5, 0.5, 0.25, 0.25])
+    assert np.array_equal(E.matvec(out), e)
 
 
 def test_normalize_dimension_error():
@@ -577,6 +588,21 @@ def test_duality_gap_warns_on_infeasible_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         duality_gap(game, y, y)
+
+
+def test_evaluators_refuse_an_invalid_game(kuhn):
+    # each evaluator reads the game's K, which exists only for a valid game
+    _, game, _ = kuhn
+    x, y = np.zeros(game.n1), np.zeros(game.n2)
+    bad_e1 = dataclasses.replace(game, e1=np.concatenate(([0.9], game.e1[1:])))
+    with pytest.raises(ValidationError) as err:
+        feasibility_residuals(bad_e1, x, y)
+    assert [str(v) for v in err.value.violations] == ["e1 [0]: first entry must be 1, got 0.9"]
+    narrow = dataclasses.replace(game, A=SparseMatrix.zeros(13, 12))
+    with pytest.raises(ValidationError) as err:
+        expected_value(narrow, x, y)
+    assert [str(v) for v in err.value.violations] == [
+        "A cols: must match the 13 player 2 sequences, got 12"]
 
 
 def test_duality_gap_matches_simplex_shortcut():
