@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import CompileError, DimensionError, StructureError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _dot
 from .treeplex import SequenceFormGame, _through_K
 
 _CHANCE_SUM_TOL = 1e-12
@@ -275,5 +275,5 @@ def expected_value(game: SequenceFormGame, x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (game.n1,):
         raise DimensionError(f"x must have length {game.n1}, got shape {x.shape}")
-    return float(np.dot(x, _through_K(game, y, False)[0]))
+    return float(_dot(x, _through_K(game, y, False)[0]))
 

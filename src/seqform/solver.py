@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, InitializationError
 from .games import expected_value
-from .sparse import SparseMatrix, build_K, spectral_norm
+from .sparse import SparseMatrix, _dot, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
                        feasibility_residuals, normalize_to_polytope)
 
@@ -102,6 +102,12 @@ class SolverState:
     scratch holds the two stacked vectors step works in, the new iterate
     and its change, and the views of them it writes; nothing in it
     outlives a step, so copies made with dataclasses.replace may share it.
+    operands holds what step reads of z, c and lam, set up at
+    construction: lam as a 0-d array, which multiplies as a vector
+    operand does with none of a Python float's dispatch, and the u and
+    w halves of c and z, which stay valid because z is only ever
+    written in place. dataclasses.replace builds it afresh; assigning
+    z, c or lam to a state does not.
     """
 
     K: SparseMatrix
@@ -117,6 +123,11 @@ class SolverState:
     norm_K: float
     steps: int
     scratch: tuple
+    operands: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self.K.cols
+        self.operands = (np.array(self.lam), self.c[:m], self.c[m:], self.z[:m], self.z[m:])
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
@@ -165,8 +176,8 @@ class SolveReport:
 
 
 def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
-    """The fields of an averaging window that starts at z0, which it keeps."""
-    return dict(z=z0.copy(), g=K.transpose_matvec(z0[K.cols:]), v=np.zeros(z0.size),
+    """The fields of an averaging window that starts at z0, which it keeps; the caller sets z to z0."""
+    return dict(g=K.transpose_matvec(z0[K.cols:]), v=np.zeros(z0.size),
                 z_sum=np.zeros(z0.size), z0=z0, k=0)
 
 
@@ -208,10 +219,11 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
                 raise DimensionError(f"start {name} must have length {n}, got shape {arr.shape}")
             parts.append(arr)
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
+    z0 = np.concatenate(parts)
     return SolverState(
-        K=K, c=c, bounds=tuple(accumulate(shapes[:3])),
+        K=K, z=z0.copy(), c=c, bounds=tuple(accumulate(shapes[:3])),
         lam=1.0 / est.value, norm_K=est.value, steps=0, scratch=_scratch(shapes),
-        **_window(K, np.concatenate(parts)))
+        **_window(K, z0))
 
 
 # overflow surfaces as the typed divergence error below, not a warning
@@ -226,18 +238,15 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     The new iterate (u2, w1) is built in state.scratch and its change
     (u2 - u, w1 - w) beside it; only the two products allocate.
     """
-    K, z, c = state.K, state.z, state.c
-    m = K.cols
-    u0, w0 = z[:m], z[m:]
+    K, z = state.K, state.z
+    lam, c_u, c_w, u0, w0 = state.operands
     z1, dz, u1, w1, y1, x1, du, dw = state.scratch
-    # a 0-d array multiplies as a vector operand does, with none of a Python float's dispatch
-    lam = np.array(state.lam)
-    np.add(state.g, c[:m], out=u1)
+    np.add(state.g, c_u, out=u1)
     u1 *= lam
     np.subtract(u0, u1, out=u1)
     np.maximum(y1, _ZERO, out=y1)
     Ku = K.matvec(u1)
-    Ku -= c[m:]
+    Ku -= c_w
     Ku *= lam
     np.add(w0, Ku, out=w1)
     del Ku  # so the two products' results are never held at once
@@ -267,7 +276,7 @@ def residual(state: SolverState) -> float:
     """Convergence certificate ||v|| / (k * lambda); defined for k >= 1."""
     if state.k < 1:
         raise ValueError("residual is undefined before the first iteration")
-    return math.sqrt(state.v @ state.v) / (state.k * state.lam)
+    return math.sqrt(_dot(state.v, state.v)) / (state.k * state.lam)
 
 
 def ergodic_average(state: SolverState) -> Quadruplet:
@@ -302,11 +311,14 @@ def _trace_point(state, game, t0, res):
 def _restart(state: SolverState) -> None:
     """Restart the averaging in place from the ergodic average.
 
-    The window fields are set by the same function init uses, so the
-    result is the state init would build from that start, without
-    rebuilding K or estimating its norm again, and steps keeps counting.
+    The window fields are set by the same function init uses, and z is
+    overwritten in place, so the result is the state init would build
+    from that start, without rebuilding K or estimating its norm again,
+    and steps keeps counting.
     """
-    vars(state).update(_window(state.K, state.z_sum / state.k))
+    window = _window(state.K, state.z_sum / state.k)
+    state.z[:] = window["z0"]
+    vars(state).update(window)
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:

@@ -166,7 +166,8 @@ class SparseMatrix:
 
     def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value arrays of the stored entries, in row-major order."""
-        return np.repeat(np.arange(self.rows), np.diff(self._indptr)), self._indices, self._data
+        ptr = self._indptr
+        return np.arange(self.rows).repeat(ptr[1:] - ptr[:-1]), self._indices, self._data
 
     def triplets(self) -> list[Triplet]:
         """Stored entries in row-major order with columns ascending."""
@@ -260,6 +261,17 @@ def _row_major(ri, ci, vals):
     return ri[starts], ci[starts], sums
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two vectors, summed on the calling thread.
+
+    OpenBLAS splits a dot product of more than 10,000 entries across its
+    threads, so the @ operator's last bits depend on the BLAS thread
+    count, and on a busy machine a thread hand-off can stall a call for
+    tens of ms; einsum sums in one fixed order on the calling thread.
+    """
+    return np.einsum("i,i->", a, b)
+
+
 class SpectralEstimate(NamedTuple):
     value: float
     converged: bool
@@ -303,20 +315,20 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
     T = np.zeros((size, size))
     q = basis[0]
     q[:] = np.random.default_rng(0).standard_normal(matrix.cols)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(_dot(q, q))
     j = it = 0
     while True:
         it += 1
         w = matrix.transpose_matvec(matrix.matvec(q))
-        T[j, j] = alpha = q @ w
+        T[j, j] = alpha = _dot(q, w)
         w -= alpha * q
         if j:
             w -= T[j, j - 1] * basis[j - 1]
-        # einsum rather than @: multithreaded BLAS hand-offs measured
-        # 8-16 ms per product on a busy 2-vCPU machine
+        # einsum rather than @ for the reason _dot gives: BLAS hand-offs
+        # measured 8-16 ms per product on a busy 2-vCPU machine
         seen = basis[:j + 1]
         w -= np.einsum("i,ij->j", np.einsum("ij,j->i", seen, w), seen)
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(_dot(w, w))
         if not math.isfinite(beta):
             return SpectralEstimate(math.inf, False, it)
         j += 1
@@ -326,9 +338,10 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
             converged = beta * abs(float(vecs[-1, -1])) <= tol * abs(float(ritz[-1]))
             if converged or j == size or it == _MAX_ROUNDS:
                 x = np.einsum("i,ij->j", vecs[:, -1], seen)
-                x /= np.linalg.norm(x)
+                x /= math.sqrt(_dot(x, x))
                 if converged or it == _MAX_ROUNDS:
-                    return SpectralEstimate(float(np.linalg.norm(matrix.matvec(x))), converged, it)
+                    Kx = matrix.matvec(x)
+                    return SpectralEstimate(math.sqrt(_dot(Kx, Kx)), converged, it)
                 q, j = basis[0], 0
                 q[:] = x
                 continue

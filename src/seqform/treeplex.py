@@ -7,13 +7,14 @@ sequence onto the sequences extending it at one information set. The
 one-row encoding E = (1, ..., 1), e = (1) used by plain matrix games is
 recognized and handled as a dedicated simplex mode.
 
-One decoder reads that tree for both validation and the index: a single
-pass over E's entries buckets the -1 and +1 columns of each row and the
-+1 rows of each column, the checks read those buckets, and one walk up
-the parent chains finds cycles and depths, so validation and the index
-build take time linear in the size of E. A game decodes each player's
-tree once and keeps the result for both. Best response and normalization
-sweep the index one depth level at a time with whole-array operations.
+One decoder reads that tree for both validation and the index, with
+whole-array operations on E's stored arrays: it counts the -1 and +1
+entries of each row and the +1 rows of each column, finds each row's
+parent row, and finds every row's depth by pointer jumping, so
+validation and the index build take O(nnz + rows * log depth) time. A
+game decodes each player's tree once and keeps the result for both.
+Best response and normalization sweep the index one depth level at a
+time with whole-array operations.
 
 Validation reports violations as data rather than raising, so tools can
 list everything wrong with a file at once.
@@ -263,7 +264,15 @@ class FeasibilityResiduals(NamedTuple):
 
 
 def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Optional[TreeplexIndex]]:
-    """Read the treeplex that (E, e) encodes, in one pass over E's entries.
+    """Read the treeplex that (E, e) encodes, with whole-array passes over E's stored arrays.
+
+    Masks classify the entries; bincounts count each row's -1 and +1
+    entries and each column's +1 rows; one gather finds every row's
+    parent row; pointer jumping finds every row's depth, and whether it
+    reaches row 0, in ceil(log2 depth) rounds. With the stable sort of
+    the depths into topo, that is O(nnz + rows * log depth) time. Only
+    the rows that do not reach row 0 are walked one by one, to name
+    them: their parent chains never pass through a row that does.
 
     Returns the violations, named after mat and vec, and the index, which
     is None whenever a violation was found.
@@ -274,63 +283,81 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
         out.append(Violation(vec, "length", f"must have {E.rows} entries (one per row of {mat}), got {len(e)}"))
     if len(e) >= 1 and e[0] != 1.0:
         out.append(Violation(vec, "[0]", f"first entry must be 1, got {e[0]}"))
-    for i in range(1, len(e)):
-        if e[i] != 0.0:
-            out.append(Violation(vec, f"[{i}]", f"entry must be 0, got {e[i]}"))
+    for i in (e[1:].nonzero()[0] + 1).tolist():
+        out.append(Violation(vec, f"[{i}]", f"entry must be 0, got {e[i]}"))
 
-    negs: list[list[int]] = [[] for _ in range(E.rows)]
-    plus: list[list[int]] = [[] for _ in range(E.rows)]  # columns ascending
-    owners: list[list[int]] = [[] for _ in range(E.cols)]
-    for r, c, v in E.triplets():
-        if v == 1.0:
-            plus[r].append(c)
-            owners[c].append(r)
-        elif v == -1.0:
-            negs[r].append(c)
-        elif v != 0.0:
-            out.append(Violation(mat, f"({r},{c})", f"entries must be -1, 0, or +1, got {v}"))
+    # entries in row-major order, columns ascending within a row
+    r, c, v = E._coo()
+    plus, neg = v == 1.0, v == -1.0
+    plus_rows, plus_cols, parent_seq = r[plus], c[plus], c[neg]
+    # any other nonzero entry leaves the +1 and -1 counts short of the nonzeros
+    if len(plus_rows) + len(parent_seq) != np.count_nonzero(v):
+        bad = ~(plus | neg | (v == 0.0))
+        for row, col, val in zip(r[bad].tolist(), c[bad].tolist(), v[bad].tolist()):
+            out.append(Violation(mat, f"({row},{col})", f"entries must be -1, 0, or +1, got {val}"))
+    num_plus = np.bincount(plus_rows, minlength=E.rows)
+    num_neg = np.bincount(r[neg], minlength=E.rows)
 
     # a single row holding a +1 in every column leaves no room for any other entry
-    if E.rows == 1 and len(plus[0]) == E.cols:
+    if E.rows == 1 and num_plus[0] == E.cols:
         return out, None if out else TreeplexIndex(
             num_sequences=E.cols, simplex=True, parent_seq=(None,),
-            children=(tuple(plus[0]),), topo=(0,))
+            children=(tuple(plus_cols.tolist()),), topo=(0,))
 
-    if negs[0] or plus[0] != [0]:
+    if num_neg[0] or num_plus[0] != 1 or plus_cols[0] != 0:
         out.append(Violation(mat, "row 0", "root row must contain a single +1 in column 0"))
-    for r in range(1, E.rows):
-        if len(negs[r]) != 1:
-            out.append(Violation(mat, f"row {r}", f"must contain exactly one -1, found {len(negs[r])}"))
-        if not plus[r]:
-            out.append(Violation(mat, f"row {r}", "must contain at least one +1"))
-    for c in range(E.cols):
-        if len(owners[c]) != 1:
-            out.append(Violation(mat, f"column {c}", f"must carry exactly one +1, found {len(owners[c])}"))
+    broken = (num_neg[1:] != 1) | (num_plus[1:] == 0)
+    if broken.any():
+        negs, pluses = num_neg.tolist(), num_plus.tolist()
+        for row in (broken.nonzero()[0] + 1).tolist():
+            if negs[row] != 1:
+                out.append(Violation(mat, f"row {row}", f"must contain exactly one -1, found {negs[row]}"))
+            if not pluses[row]:
+                out.append(Violation(mat, f"row {row}", "must contain at least one +1"))
+    num_owners = np.bincount(plus_cols, minlength=E.cols)
+    broken = num_owners != 1
+    if broken.any():
+        owners = num_owners.tolist()
+        for col in broken.nonzero()[0].tolist():
+            out.append(Violation(mat, f"column {col}", f"must carry exactly one +1, found {owners[col]}"))
     if out:
         return out, None
 
-    # Every row must reach row 0 through the parent-sequence chain. The walk
-    # stores each placed row's depth; -1 marks the current path, -2 a broken row.
-    depth = [0] + [None] * (E.rows - 1)
-    for start in range(1, E.rows):
-        path, r = [], start
-        while depth[r] is None:
-            depth[r] = -1
-            path.append(r)
-            r = owners[negs[r][0]][0]
-        if depth[r] >= 0:
-            for d, rr in enumerate(reversed(path), depth[r] + 1):
-                depth[rr] = d
-        elif path:
-            rule = "forms a cycle" if depth[r] == -1 else "does not reach the root row"
-            out.append(Violation(mat, f"row {start}", f"parent chain {rule}"))
-            for rr in path:
-                depth[rr] = -2
-    rows = range(1, E.rows)
-    return out, None if out else TreeplexIndex(
-        num_sequences=E.cols, simplex=False, parent_seq=tuple(negs[r][0] for r in rows),
-        children=tuple(tuple(plus[r]) for r in rows),
-        topo=tuple(np.argsort(depth[1:], kind="stable").tolist()))
+    # Every row must reach row 0 through the parent-sequence chain. Row 0
+    # owns column 0, so up[0] = 0, and each pointer-jumping round doubles
+    # the distance every pointer spans. A depth below 2 ** E.rows.bit_length()
+    # takes fewer rounds than the cap, so only a row on or below a cycle,
+    # which never points at row 0, runs the loop to its end.
+    owner = np.empty(E.cols, dtype=np.intp)
+    owner[plus_cols] = plus_rows
+    up = owner[np.concatenate(([0], parent_seq))]
+    jump, depth = up, np.ones(E.rows, dtype=np.intp)
+    depth[0] = 0
+    for _ in range(E.rows.bit_length() + 1):
+        if not jump.any():
+            break
+        depth += depth[jump]
+        jump = jump[jump]
+    else:
+        # rows on the walk's current path store 1, rows found broken 2
+        up, state = up.tolist(), {}
+        for start in jump.nonzero()[0].tolist():
+            path, row = [], start
+            while row not in state:
+                state[row] = 1
+                path.append(row)
+                row = up[row]
+            if path:
+                rule = "forms a cycle" if state[row] == 1 else "does not reach the root row"
+                out.append(Violation(mat, f"row {start}", f"parent chain {rule}"))
+                state.update(dict.fromkeys(path, 2))
+        return out, None
+    pluses = plus_cols.tolist()
+    ends = list(itertools.accumulate(num_plus.tolist()))
+    return out, TreeplexIndex(
+        num_sequences=E.cols, simplex=False, parent_seq=tuple(parent_seq.tolist()),
+        children=tuple(tuple(pluses[a:b]) for a, b in zip(ends, ends[1:])),
+        topo=tuple(depth[1:].argsort(kind="stable").tolist()))
 
 
 def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import seqform
 from seqform import (DimensionError, DivergenceError, InitializationError,
                      SolverConfig, SparseMatrix, duality_gap, ergodic_average,
                      expected_value, init, normalize_to_polytope,
@@ -208,6 +212,33 @@ def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies):
         got = residual(state)
         assert type(got) is float
         assert got == float(np.linalg.norm(state.v) / (state.k * state.lam))
+
+
+def test_norm_and_residual_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 entries across its
+    # threads; ternary_game(8)'s stacked vectors hold 26,244, and after 100
+    # steps the sum of their squares depends on its order
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from conftest import ternary_game\n"
+            "from seqform.solver import init, residual, step\n"
+            "from seqform.sparse import spectral_norm\n"
+            "game = ternary_game(8)\n"
+            "state = init(game)\n"
+            "for _ in range(100):\n"
+            "    step(state, game)\n"
+            "print(repr(spectral_norm(state.K)), repr(residual(state)))\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.abspath(seqform.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(src), env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code, tests], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_ergodic_average_is_running_mean(pennies):

@@ -16,7 +16,7 @@ from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
                      normalize_to_polytope, random_matrix_game, simplex_game,
                      simplex_gap, validate_sequence_form)
 from seqform.oracle import embed_pure_strategy
-from conftest import random_treeplex
+from conftest import random_treeplex, ternary_game
 
 
 def two_level_treeplex():
@@ -370,6 +370,76 @@ def test_validation_and_index_run_in_linear_time():
     # linear decoding takes well under 0.1 s here; rescanning the entries per row
     # (the reference decoder above) takes tens of seconds
     assert elapsed < 2.0
+
+
+def permuted_chain(n, seed=0):
+    """A treeplex of n rows that is one chain of one-sequence information sets.
+
+    The set at chain position k >= 1 sits in row rows[k], owns sequence
+    seqs[k] and hangs off seqs[k - 1]; rows and sequences are shuffled,
+    so no order of E's entries follows the chain.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate(([0], 1 + rng.permutation(n - 1))).tolist()
+    seqs = np.concatenate(([0], 1 + rng.permutation(n - 1))).tolist()
+    trips = [(0, 0, 1.0)]
+    for k in range(1, n):
+        trips += [(rows[k], seqs[k - 1], -1.0), (rows[k], seqs[k], 1.0)]
+    return trips, rows, seqs
+
+
+def test_chain_of_depth_2_to_the_15_decodes_to_the_reference_index():
+    # pointer jumping needs 15 rounds here, within its cap of 17
+    n = 2 ** 15
+    trips, rows, seqs = permuted_chain(n)
+    E = SparseMatrix(n, n, trips)
+    e = np.zeros(n)
+    e[0] = 1.0
+    parent_seq, children = [None] * (n - 1), [None] * (n - 1)
+    for k in range(1, n):
+        parent_seq[rows[k] - 1] = seqs[k - 1]
+        children[rows[k] - 1] = (seqs[k],)
+    start = time.perf_counter()
+    index = build_treeplex_index(E, e)
+    elapsed = time.perf_counter() - start
+    assert index == TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
+                                  children=tuple(children),
+                                  topo=tuple(r - 1 for r in rows[1:]))
+    # the whole-array decode takes tens of ms here
+    assert elapsed < 2.0
+
+
+def test_chain_closed_into_a_cycle_yields_the_reference_violations():
+    # the chain's first set hangs off its last sequence, and one more set,
+    # in the last row, hangs off a sequence on that cycle with a sequence of its own
+    n = 2 ** 15
+    trips, rows, seqs = permuted_chain(n)
+    trips = [t for t in trips if t[0] != rows[1] or t[2] != -1.0]
+    trips += [(rows[1], seqs[-1], -1.0), (n, seqs[n // 2], -1.0), (n, n, 1.0)]
+    E = SparseMatrix(n + 1, n + 1, trips)
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    game = SequenceFormGame(A=SparseMatrix.zeros(n + 1, n + 1), E1=E, E2=E, e1=e, e2=e)
+    # the reference walk starts from rows 1, 2, ... in turn: the walk from row 1
+    # runs round the whole cycle, and the walk from row n meets it
+    expected = ["row 1: parent chain forms a cycle",
+                f"row {n}: parent chain does not reach the root row"]
+    assert [str(v) for v in validate_sequence_form(game)] == (
+        [f"E1 {m}" for m in expected] + [f"E2 {m}" for m in expected])
+    with pytest.raises(StructureError, match="row 1: parent chain forms a cycle"):
+        game.index1
+
+
+def test_decoder_reads_the_stored_arrays_not_the_triplets(kuhn, monkeypatch):
+    games = [dataclasses.replace(kuhn[1]), ternary_game(4)]
+
+    def refuse(self):
+        raise AssertionError("the decoder read E's triplets")
+
+    monkeypatch.setattr(SparseMatrix, "triplets", refuse)
+    for game in games:
+        assert validate_sequence_form(game) == []
+        assert game.index1.num_sequences == game.n1 and game.index2.num_sequences == game.n2
 
 
 def test_best_response_simplex():
