@@ -94,20 +94,21 @@ class SolverState:
     """Mutable iteration state on the stacked operator K.
 
     Every stacked vector is ordered z = (u, w) = (y, p, x, q), and
-    bounds holds the offsets where p, x and q start. z is updated in
-    place; y, p, x and q are views into it. g = K^T w is carried across
-    steps. c = (0, e1, 0, e2) is the constant part of the update. v
-    accumulates every change of z, z_sum every iterate, and z0 is the
-    start. k counts the steps since the last restart, steps all of them.
-    scratch holds the two stacked vectors step works in, the new iterate
-    and its change, and the views of them it writes; nothing in it
-    outlives a step, so copies made with dataclasses.replace may share it.
-    operands holds what step reads of z, c and lam, set up at
-    construction: lam as a 0-d array, which multiplies as a vector
-    operand does with none of a Python float's dispatch, and the u and
-    w halves of c and z, which stay valid because z is only ever
-    written in place. dataclasses.replace builds it afresh; assigning
-    z, c or lam to a state does not.
+    bounds holds the offsets where p, x and q start. g = K^T w is
+    carried across steps. c = (0, e1, 0, e2) is the constant part of
+    the update. v accumulates every change of z, z_sum every iterate,
+    and z0 is the start. k counts the steps since the last restart,
+    steps all of them.
+
+    __post_init__ builds every view of the state, once: y, p, x and q
+    into z, and views, all that step reads and writes. views holds lam
+    as a 0-d array, which multiplies as a vector operand does with none
+    of a Python float's dispatch; the u and w halves of c and z; and a
+    scratch buffer of two stacked vectors, step's new iterate and its
+    change, with the parts of them step writes. One rule keeps the views
+    valid: z, c and lam are only ever written in place, never assigned.
+    dataclasses.replace builds fresh views, including the copy's own
+    scratch buffer.
     """
 
     K: SparseMatrix
@@ -122,24 +123,20 @@ class SolverState:
     lam: float
     norm_K: float
     steps: int
-    scratch: tuple
-    operands: tuple = field(init=False, repr=False, compare=False)
+    views: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.K.cols
-        self.operands = (np.array(self.lam), self.c[:m], self.c[m:], self.z[:m], self.z[m:])
+        n2, m, end_x = self.bounds
+        n = self.z.size
+        buf = np.empty(2 * n)
+        z1, dz = buf[:n], buf[n:]
+        self.y, self.p, self.x, self.q = self.blocks(self.z)
+        self.views = (np.array(self.lam), self.c[:m], self.c[m:], self.z[:m], self.z[m:],
+                      z1, dz, z1[:m], z1[m:], z1[:n2], z1[m:end_x], dz[:m], dz[m:])
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
         return Quadruplet(*np.split(vec, self.bounds))
-
-    y = property(lambda self: self.blocks(self.z).y)
-    p = property(lambda self: self.blocks(self.z).p)
-    x = property(lambda self: self.blocks(self.z).x)
-    q = property(lambda self: self.blocks(self.z).q)
-
-    def iterate(self) -> np.ndarray:
-        return self.z.copy()
 
 
 @dataclass(frozen=True)
@@ -181,15 +178,6 @@ def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
                 z_sum=np.zeros(z0.size), z0=z0, k=0)
 
 
-def _scratch(shapes) -> tuple:
-    """Two stacked vectors for step's new iterate and its change, with the views step writes."""
-    n2, l1, n1, _ = shapes
-    m, n = n2 + l1, sum(shapes)
-    buf = np.empty(2 * n)
-    z1, dz = buf[:n], buf[n:]
-    return z1, dz, z1[:m], z1[m:], z1[:n2], z1[m:m + n1], dz[:m], dz[m:]
-
-
 def init(game: SequenceFormGame, start=None) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
@@ -222,7 +210,7 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     z0 = np.concatenate(parts)
     return SolverState(
         K=K, z=z0.copy(), c=c, bounds=tuple(accumulate(shapes[:3])),
-        lam=1.0 / est.value, norm_K=est.value, steps=0, scratch=_scratch(shapes),
+        lam=1.0 / est.value, norm_K=est.value, steps=0,
         **_window(K, z0))
 
 
@@ -235,12 +223,12 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     u1 = u - lam (g + (0, e1)) with y clipped at zero,
     w1 = w + lam (K u1 - (0, e2)) with x clipped at zero, and
     u2 = u1 - lam K^T (w1 - w), which also moves g to K^T w1.
-    The new iterate (u2, w1) is built in state.scratch and its change
-    (u2 - u, w1 - w) beside it; only the two products allocate.
+    The new iterate (u2, w1) is built in the state's scratch buffer and
+    its change (u2 - u, w1 - w) beside it, both through state.views;
+    only the two products allocate.
     """
     K, z = state.K, state.z
-    lam, c_u, c_w, u0, w0 = state.operands
-    z1, dz, u1, w1, y1, x1, du, dw = state.scratch
+    lam, c_u, c_w, u0, w0, z1, dz, u1, w1, y1, x1, du, dw = state.views
     np.add(state.g, c_u, out=u1)
     u1 *= lam
     np.subtract(u0, u1, out=u1)

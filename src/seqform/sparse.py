@@ -29,6 +29,7 @@ set-up of a small game.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -81,8 +82,8 @@ class SparseMatrix:
 
     def _from_arrays(self, rows, cols, ri, ci, vals) -> "SparseMatrix":
         """Fill this matrix from parallel row, column and value arrays, which it may keep."""
-        rows = int(rows)
-        cols = int(cols)
+        rows = operator.index(rows)
+        cols = operator.index(cols)
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix shape must be at least 1x1, got {rows}x{cols}")
         ri = np.asarray(ri, dtype=np.int64)
@@ -135,10 +136,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, [(i, i, 1.0) for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -433,8 +433,10 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
     all zero splits its parent mass uniformly. One whose positive total
     is too small to divide that mass by, or too large to be a double,
     first divides its entries by their largest, then gives each result
-    its fraction of their sum times the mass. The result is always
-    feasible, and feasible inputs pass through unchanged up to roundoff.
+    its fraction of their sum times the mass; if the largest is
+    infinite, the mass is split equally over the infinite entries. The
+    result is always feasible, and feasible inputs pass through
+    unchanged up to roundoff.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (index.num_sequences,):
@@ -446,7 +448,8 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
         with np.errstate(over="ignore"):
             s = float(w.sum())
         if math.isinf(s):
-            w = w / w.max()
+            top = w.max()
+            w = (w == top).astype(np.float64) if math.isinf(top) else w / top
             s = float(w.sum())
         if s > 0.0:
             return w / s
@@ -468,7 +471,8 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
             if odd.any():
                 on = odd[level.owner]
                 owner = level.owner[on]
-                rel = part[on] / np.maximum.reduceat(part, level.starts)[owner]
+                top = np.maximum.reduceat(part, level.starts)[owner]
+                rel = np.where(np.isinf(top), part[on] == top, part[on] / top)
                 share[on] = rel / np.bincount(owner, weights=rel, minlength=odd.size)[owner] * mass[owner]
             out[level.seqs] = np.where(spread[level.owner], share,
                                        (mass / level.sizes)[level.owner])

@@ -44,6 +44,26 @@ def ternary_game(depth):
     return SequenceFormGame(A=SparseMatrix.identity(E.cols), E1=E, E2=E, e1=e, e2=e)
 
 
+def lp_value(game):
+    """Value of max_x min_y x^T A y over both realization-plan polytopes, by HiGHS.
+
+    The inner minimum is replaced by its LP dual: maximize e2^T u subject
+    to E2^T u <= A^T x, E1 x = e1, x >= 0, u free. The same formulation
+    gives perfbench's reference values; it shares no code with the solver.
+    """
+    from scipy.optimize import linprog
+
+    A, E1, E2 = (m.to_dense() for m in (game.A, game.E1, game.E2))
+    n1, l2 = game.n1, game.l2
+    c = np.concatenate([np.zeros(n1), -game.e2])
+    a_ub = np.hstack([-A.T, E2.T])
+    a_eq = np.hstack([E1, np.zeros((game.l1, l2))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(game.n2), A_eq=a_eq, b_eq=game.e1,
+                  bounds=[(0, None)] * n1 + [(None, None)] * l2, method="highs-ipm")
+    assert res.status == 0, f"reference LP failed: {res.message}"
+    return float(-res.fun)
+
+
 def dyadic_probs(rng, n):
     """n positive probabilities, each a multiple of 1/2**m, summing to 1."""
     m = 3

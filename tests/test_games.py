@@ -147,7 +147,7 @@ def test_payoffs_accumulate_across_chance():
 
 
 def test_simplex_game_shapes():
-    game = simplex_game(SparseMatrix.zeros(2, 3))
+    game = simplex_game(SparseMatrix(2, 3))
     assert (game.n1, game.n2, game.l1, game.l2) == (2, 3, 1, 1)
     assert np.array_equal(game.E1.to_dense(), [[1.0, 1.0]])
     assert np.array_equal(game.E2.to_dense(), [[1.0, 1.0, 1.0]])

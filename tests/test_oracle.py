@@ -104,7 +104,7 @@ def test_dense_spectral_norm():
 
 def test_dense_spectral_norm_guards():
     with pytest.raises(SizeError):
-        dense_spectral_norm(SparseMatrix.zeros(65, 65))
+        dense_spectral_norm(SparseMatrix(65, 65))
     with pytest.raises(SizeError):
         dense_spectral_norm(np.zeros((65, 65)))
     with pytest.raises(ValueError):

@@ -14,16 +14,17 @@ import seqform
 from seqform import (DimensionError, DivergenceError, InitializationError,
                      SolverConfig, SparseMatrix, duality_gap, ergodic_average,
                      expected_value, init, normalize_to_polytope,
-                     random_matrix_game, residual, simplex_game, solve, step)
+                     random_matrix_game, residual, simplex_game, solve, step,
+                     to_sequence_form)
 from seqform.oracle import dense_spectral_norm
 from seqform.sparse import SpectralEstimate, build_K, spectral_norm
-from conftest import fixed_norm, ternary_game
+from conftest import fixed_norm, lp_value, random_efg, ternary_game
 
 
 @pytest.fixture
 def trivial_game():
     # 1x1 zero game: the operator is a rotation, so the step size is exactly 1
-    return simplex_game(SparseMatrix.zeros(1, 1))
+    return simplex_game(SparseMatrix(1, 1))
 
 
 @pytest.fixture
@@ -48,6 +49,21 @@ def averaged_plans(state, game):
     avg = ergodic_average(state)
     return (normalize_to_polytope(game.index1, avg.x),
             normalize_to_polytope(game.index2, avg.y))
+
+
+def test_solve_value_is_within_its_duality_gap_of_an_lp_solution():
+    # the certificate's claim checked against an LP solver that shares no code with the solver
+    games = [(f"random_efg({seed})", to_sequence_form(random_efg(np.random.default_rng(seed)))[0])
+             for seed in range(40)]
+    games += [(f"random_matrix_game{shape}", random_matrix_game(*shape))
+              for shape in [(2, 3, 0), (5, 5, 1), (10, 7, 2), (7, 10, 3), (20, 20, 4)]]
+    games += [(f"ternary_game({depth})", ternary_game(depth)) for depth in (2, 3, 4)]
+    for name, game in games:
+        value = lp_value(game)
+        for epsilon in (1e-3, 1e-6):
+            report = solve(game, SolverConfig(epsilon=epsilon))
+            assert report.converged, (name, epsilon)
+            assert abs(report.value - value) <= report.duality_gap + 1e-12, (name, epsilon)
 
 
 def test_config_validation():
@@ -75,7 +91,7 @@ def test_init_state(trivial_game):
     assert state.norm_K == 1.0
     assert state.k == 0
     assert np.array_equal(state.z0, np.zeros(4))
-    assert np.array_equal(state.iterate(), np.zeros(4))
+    assert np.array_equal(state.z, np.zeros(4))
 
 
 def test_step_is_safe(kuhn, pennies):
@@ -90,7 +106,7 @@ def test_step_is_safe(kuhn, pennies):
 def test_init_with_start(trivial_game):
     state = init(trivial_game, start=([0.5], [0.0], [1.0], [-1.0]))
     assert np.array_equal(state.z0, [0.5, 0.0, 1.0, -1.0])
-    assert np.array_equal(state.iterate(), state.z0)
+    assert np.array_equal(state.z, state.z0)
     with pytest.raises(DimensionError):
         init(trivial_game, start=([0.5, 0.5], [0.0], [1.0], [0.0]))
 
@@ -171,7 +187,7 @@ def test_step_matches_nine_product_reference(kuhn, monkeypatch):
         for _ in range(2000):
             step(state, game)
             ref = reference_step(game, state.lam, *ref)
-            assert np.max(np.abs(state.iterate() - np.concatenate(ref))) <= 1e-12
+            assert np.max(np.abs(state.z - np.concatenate(ref))) <= 1e-12
 
     calls = []
     for name in ("matvec", "transpose_matvec"):
@@ -248,7 +264,7 @@ def test_ergodic_average_is_running_mean(pennies):
     seen = []
     for _ in range(3):
         step(state, pennies)
-        seen.append(state.iterate())
+        seen.append(state.z.copy())
     avg = ergodic_average(state)
     stacked = np.mean(seen, axis=0)
     assert np.allclose(np.concatenate(avg), stacked, atol=1e-15, rtol=0.0)
@@ -259,7 +275,7 @@ def test_telescoping_identity():
     state = init(game)
     for _ in range(500):
         step(state, game)
-        gap = np.max(np.abs(state.v - (state.iterate() - state.z0)))
+        gap = np.max(np.abs(state.v - (state.z - state.z0)))
         assert gap <= 1e-12
 
 
@@ -506,7 +522,7 @@ def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
 
 
 def copied(state):
-    """A dataclasses.replace copy of state with arrays of its own; K and scratch stay shared."""
+    """A dataclasses.replace copy of state with arrays and views of its own; K stays shared."""
     return dataclasses.replace(state, **{name: getattr(state, name).copy()
                                          for name in ("z", "g", "v", "z_sum", "z0")})
 
@@ -556,6 +572,20 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which):
     assert (state.k, state.steps) == (ref.k, ref.steps) == (250, 500)
 
 
+def test_replace_copy_views_its_own_arrays(kuhn):
+    state = init(kuhn[1])
+    copy = copied(state)
+    _, _, _, u0, w0, *scratch = copy.views
+    views = (copy.y, copy.p, copy.x, copy.q, u0, w0)
+    assert all(np.shares_memory(view, copy.z) for view in views)
+    assert not any(np.shares_memory(view, state.z) for view in views)
+    assert np.concatenate(views[:4]).tolist() == copy.z.tolist()
+    # the scratch views lie in one buffer of the copy's own, apart from both states' z
+    assert all(np.shares_memory(view, scratch[0].base) for view in scratch)
+    assert not any(np.shares_memory(view, a) for view in scratch
+                   for a in (copy.z, state.z) + state.views[5:])
+
+
 def test_step_allocates_less_than_one_state_vector():
     import tracemalloc
 
@@ -575,7 +605,7 @@ def test_step_allocates_less_than_one_state_vector():
         tracemalloc.stop()
     assert peak < 8 * state.z.size
 
-    # copies share the scratch; stepped in turn, each matches its own run alone
+    # copies stepped in turn each match their own run alone
     first, second = copied(state), copied(state)
     solver_module._restart(second)
     alone = [copied(first), copied(second)]
@@ -586,6 +616,5 @@ def test_step_allocates_less_than_one_state_vector():
         step(first, game)
         step(second, game)
     for copy, ref in zip((first, second), alone):
-        assert copy.scratch is state.scratch
         for name in ("z", "g", "v", "z_sum"):
             assert same_bits(getattr(copy, name), getattr(ref, name)), name

@@ -23,7 +23,7 @@ def test_duplicate_triplets_are_summed():
 
 
 def test_empty_matrix():
-    m = SparseMatrix.zeros(3, 2)
+    m = SparseMatrix(3, 2)
     assert m.nnz == 0
     assert np.array_equal(m.matvec([1.0, 2.0]), np.zeros(3))
     assert m.triplets() == []
@@ -54,6 +54,9 @@ def test_construction_errors():
         SparseMatrix(2, 2, [(0, -1, 1.0)])
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, float("nan"))])
+    # a shape is an integer, never truncated from a float
+    with pytest.raises(TypeError):
+        SparseMatrix(2.7, 3.2)
 
 
 def test_duplicates_summing_past_the_largest_double_are_refused():
@@ -77,7 +80,7 @@ def test_matvec_matches_dense():
 
 
 def test_matvec_dimension_errors():
-    m = SparseMatrix.zeros(3, 2)
+    m = SparseMatrix(3, 2)
     with pytest.raises(DimensionError):
         m.matvec([1.0, 2.0, 3.0])
     with pytest.raises(DimensionError):
@@ -113,7 +116,7 @@ def test_layout_rule_boundary():
     assert not is_dense(first_cells(1, 4097, 1))
     # so every 3x3 matrix is dense, even with no entries
     assert is_dense(matrix_3x3(5))
-    assert is_dense(SparseMatrix.zeros(3, 3))
+    assert is_dense(SparseMatrix(3, 3))
 
 
 @pytest.mark.parametrize("count", [5, 6, 9])
@@ -290,18 +293,18 @@ def test_spectral_norm_diagonal():
 
 
 def test_spectral_norm_zero_matrix():
-    est = spectral_norm(SparseMatrix.zeros(4, 4))
+    est = spectral_norm(SparseMatrix(4, 4))
     assert est.converged
     assert est.value == 0.0
     # the first round leaves nothing to orthogonalize, whatever the width
     assert est.iterations == 1
-    assert spectral_norm(SparseMatrix.zeros(3, 100)) == (0.0, True, 1)
+    assert spectral_norm(SparseMatrix(3, 100)) == (0.0, True, 1)
 
 
 def test_spectral_norm_exact_on_rotation_and_pennies():
     # K^T K is the identity for the 1x1 zero game, whose operator is a
     # rotation; the Krylov space closes after one round
-    rotation = build_K(simplex_game(SparseMatrix.zeros(1, 1)))
+    rotation = build_K(simplex_game(SparseMatrix(1, 1)))
     assert spectral_norm(rotation) == (1.0, True, 1)
     pennies = build_K(simplex_game(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])))
     assert spectral_norm(pennies) == (2.0, True, 2)

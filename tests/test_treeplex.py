@@ -38,8 +38,8 @@ def test_validate_kuhn_is_clean(kuhn):
 def test_violation_rendering():
     E = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 0, -1.0)])
     e = np.array([1.0, 0.0])
-    game = simplex_game(SparseMatrix.zeros(2, 2))
-    bad = SequenceFormGame(A=SparseMatrix.zeros(2, 2), E1=E, E2=game.E2,
+    game = simplex_game(SparseMatrix(2, 2))
+    bad = SequenceFormGame(A=SparseMatrix(2, 2), E1=E, E2=game.E2,
                            e1=e, e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
     assert "E1 row 1: must contain at least one +1" in messages
@@ -47,7 +47,7 @@ def test_violation_rendering():
 
 
 def test_e_vector_violations():
-    game = simplex_game(SparseMatrix.zeros(2, 3))
+    game = simplex_game(SparseMatrix(2, 3))
     bad = SequenceFormGame(A=game.A, E1=game.E1, E2=game.E2,
                            e1=np.array([0.9]), e2=np.array([1.0, 0.5]))
     messages = [str(v) for v in validate_sequence_form(bad)]
@@ -57,7 +57,7 @@ def test_e_vector_violations():
 
 def test_entry_value_violation():
     E = SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 2.0)])
-    game = simplex_game(SparseMatrix.zeros(2, 2))
+    game = simplex_game(SparseMatrix(2, 2))
     bad = SequenceFormGame(A=game.A, E1=E, E2=game.E2,
                            e1=np.ones(1), e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
@@ -72,7 +72,7 @@ def test_cycle_and_unreachable_violations():
         (3, 2, -1.0), (3, 3, 1.0),
     ])
     e = np.array([1.0, 0.0, 0.0, 0.0])
-    game = simplex_game(SparseMatrix.zeros(4, 4))
+    game = simplex_game(SparseMatrix(4, 4))
     bad = SequenceFormGame(A=game.A, E1=E, E2=game.E2, e1=e, e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
     assert "E1 row 1: parent chain forms a cycle" in messages
@@ -81,11 +81,11 @@ def test_cycle_and_unreachable_violations():
 
 def test_payoff_shape_violations(kuhn):
     _, game, _ = kuhn
-    bad = SequenceFormGame(A=SparseMatrix.zeros(3, 13), E1=game.E1, E2=game.E2,
+    bad = SequenceFormGame(A=SparseMatrix(3, 13), E1=game.E1, E2=game.E2,
                            e1=game.e1, e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
     assert messages == ["A rows: must match the 13 player 1 sequences, got 3"]
-    bad = SequenceFormGame(A=SparseMatrix.zeros(13, 3), E1=game.E1, E2=game.E2,
+    bad = SequenceFormGame(A=SparseMatrix(13, 3), E1=game.E1, E2=game.E2,
                            e1=game.e1, e2=game.e2)
     messages = [str(v) for v in validate_sequence_form(bad)]
     assert messages == ["A cols: must match the 13 player 2 sequences, got 3"]
@@ -337,7 +337,7 @@ def test_decoder_matches_reference(seed, corruptions):
     E, e = random_treeplex(rng)
     for _ in range(corruptions):
         E, e = _corrupt(rng, E, e)
-    game = SequenceFormGame(A=SparseMatrix.zeros(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
+    game = SequenceFormGame(A=SparseMatrix(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
     expected = _ref_player_violations(E, e, "E1", "e1") + _ref_player_violations(E, e, "E2", "e2")
     assert [str(v) for v in validate_sequence_form(game)] == [str(v) for v in expected]
     try:
@@ -361,7 +361,7 @@ def test_validation_and_index_run_in_linear_time():
     assert E.shape == (9842, 29524)
     e = np.zeros(E.rows)
     e[0] = 1.0
-    game = SequenceFormGame(A=SparseMatrix.zeros(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
+    game = SequenceFormGame(A=SparseMatrix(E.cols, E.cols), E1=E, E2=E, e1=e, e2=e)
     start = time.perf_counter()
     assert validate_sequence_form(game) == []
     indexes = (game.index1, game.index2)
@@ -419,7 +419,7 @@ def test_chain_closed_into_a_cycle_yields_the_reference_violations():
     E = SparseMatrix(n + 1, n + 1, trips)
     e = np.zeros(n + 1)
     e[0] = 1.0
-    game = SequenceFormGame(A=SparseMatrix.zeros(n + 1, n + 1), E1=E, E2=E, e1=e, e2=e)
+    game = SequenceFormGame(A=SparseMatrix(n + 1, n + 1), E1=E, E2=E, e1=e, e2=e)
     # the reference walk starts from rows 1, 2, ... in turn: the walk from row 1
     # runs round the whole cycle, and the walk from row n meets it
     expected = ["row 1: parent chain forms a cycle",
@@ -529,6 +529,22 @@ def test_normalize_set_whose_total_is_too_small_or_too_large_to_divide_by():
     out = normalize_to_polytope(build_treeplex_index(E, e), [1.0, 1e308, 1e308, 0.0, 0.0])
     assert np.array_equal(out, [1.0, 0.5, 0.5, 0.25, 0.25])
     assert np.array_equal(E.matvec(out), e)
+
+
+def test_normalize_tree_set_with_an_infinite_entry_splits_its_mass_over_the_infinite_ones():
+    E = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 0, -1.0), (1, 1, 1.0), (1, 2, 1.0)])
+    index = build_treeplex_index(E, np.array([1.0, 0.0]))
+    assert np.array_equal(normalize_to_polytope(index, [1.0, np.inf, 1.0]), [1.0, 1.0, 0.0])
+    E, e = two_level_treeplex()
+    out = normalize_to_polytope(build_treeplex_index(E, e), [1.0, np.inf, np.inf, np.inf, 1.0])
+    assert np.array_equal(out, [1.0, 0.5, 0.5, 0.5, 0.0])
+    assert np.array_equal(E.matvec(out), e)
+
+
+def test_normalize_simplex_with_an_infinite_entry_splits_its_mass_over_the_infinite_ones():
+    simplex = build_treeplex_index(SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)]), np.ones(1))
+    assert np.array_equal(normalize_to_polytope(simplex, [np.inf, 1.0]), [1.0, 0.0])
+    assert np.array_equal(normalize_to_polytope(simplex, [np.inf, np.inf]), [0.5, 0.5])
 
 
 def test_normalize_dimension_error():
@@ -668,7 +684,7 @@ def test_evaluators_refuse_an_invalid_game(kuhn):
     with pytest.raises(ValidationError) as err:
         feasibility_residuals(bad_e1, x, y)
     assert [str(v) for v in err.value.violations] == ["e1 [0]: first entry must be 1, got 0.9"]
-    narrow = dataclasses.replace(game, A=SparseMatrix.zeros(13, 12))
+    narrow = dataclasses.replace(game, A=SparseMatrix(13, 12))
     with pytest.raises(ValidationError) as err:
         expected_value(narrow, x, y)
     assert [str(v) for v in err.value.violations] == [
@@ -730,7 +746,7 @@ def test_game_from_dict_errors(kuhn):
 
 
 def test_e_vector_must_be_one_dimensional():
-    game = simplex_game(SparseMatrix.zeros(2, 2))
+    game = simplex_game(SparseMatrix(2, 2))
     with pytest.raises(ValueError):
         SequenceFormGame(A=game.A, E1=game.E1, E2=game.E2,
                          e1=np.ones((1, 1)), e2=game.e2)
