@@ -258,8 +258,6 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     return state
 
 
-# overflow surfaces as the divergence error step raises, not a warning
-@np.errstate(over="ignore", invalid="ignore")
 def residual(state: SolverState) -> float:
     """Convergence certificate ||v|| / (k * lambda); defined for k >= 1."""
     if state.k < 1:

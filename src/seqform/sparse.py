@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -37,6 +38,7 @@ import scipy.sparse
 
 from .errors import DimensionError, FileFormatError
 
+# A list or tuple [row, col, value]: integer indices and a real value, no bool.
 Triplet = tuple[int, int, float]
 
 # Extra margin applied to rel_tol when testing the Ritz residual, so the
@@ -59,6 +61,8 @@ _SMALL_DENSE_BYTES = 32768
 class SparseMatrix:
     """Immutable sparse matrix, with a product layout chosen by one rule.
 
+    The constructor reads triplets, a game file's through from_dict too,
+    in one pass; an item that is not a Triplet is a TypeError naming it.
     _indptr, _indices and _data hold the stored entries in compressed
     rows, columns ascending, explicit zeros and summed duplicates
     included; they are what nnz, triplets, to_dict and to_dense read.
@@ -74,11 +78,19 @@ class SparseMatrix:
     __slots__ = ("rows", "cols", "_indptr", "_indices", "_data", "_layout")
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
-        trips = list(triplets)
-        self._from_arrays(rows, cols,
-                          np.fromiter((t[0] for t in trips), dtype=np.int64, count=len(trips)),
-                          np.fromiter((t[1] for t in trips), dtype=np.int64, count=len(trips)),
-                          np.fromiter((t[2] for t in trips), dtype=np.float64, count=len(trips)))
+        ri, ci, vals = array("q"), array("q"), array("d")
+        for k, t in enumerate(triplets):
+            try:
+                r, c, x = t
+                # the typed buffers refuse any other index or value, but take a bool as an int
+                if (type(t) is not list and type(t) is not tuple or r is True or r is False
+                        or c is True or c is False or x is True or x is False):
+                    raise TypeError
+                ri.append(r); ci.append(c); vals.append(x)
+            except (TypeError, ValueError):
+                raise TypeError(f"triplet {k} must be [row, col, value] with integer "
+                                "indices and a numeric value") from None
+        self._from_arrays(rows, cols, ri, ci, vals)
 
     def _from_arrays(self, rows, cols, ri, ci, vals) -> "SparseMatrix":
         """Fill this matrix from parallel row, column and value arrays, which it may keep."""
@@ -207,16 +219,10 @@ class SparseMatrix:
         if max_shape is not None and (rows > max_shape[0] or cols > max_shape[1]):
             raise FileFormatError(f"sparse matrix shape {rows}x{cols} is too large: "
                                   f"the file backs at most {max_shape[0]}x{max_shape[1]}")
-        for k, item in enumerate(items):
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise FileFormatError(f"triplet {k} must be [row, col, value]")
-            r, c, x = item
-            if type(r) is not int or type(c) is not int:
-                raise FileFormatError(f"triplet {k} has non-integer indices")
-            if type(x) is not float and type(x) is not int:
-                raise FileFormatError(f"triplet {k} has a non-numeric value")
         try:
             return cls(rows, cols, items)
+        except TypeError as exc:
+            raise FileFormatError(str(exc)) from None
         except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"bad sparse matrix: {exc}") from None
         except MemoryError as exc:

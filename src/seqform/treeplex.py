@@ -152,8 +152,8 @@ class SequenceFormGame:
         # A valid treeplex stores an entry in every row and column of E1 and
         # E2, and A is no larger than they make it: a declared shape past
         # those bounds is refused before anything of that shape is allocated.
-        E1, E2 = (SparseMatrix.from_dict(doc[k], max_shape=_backed(doc[k])) for k in ("E1", "E2"))
-        A = SparseMatrix.from_dict(doc["A"], max_shape=(E1.cols, E2.cols))
+        E1, E2 = (_read_matrix(doc, k, _backed(doc[k])) for k in ("E1", "E2"))
+        A = _read_matrix(doc, "A", (E1.cols, E2.cols))
         for vec in ("e1", "e2"):
             if not isinstance(doc[vec], list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc[vec]
@@ -175,6 +175,14 @@ class SequenceFormGame:
         except OverflowError as exc:
             raise FileFormatError(f"'e1' or 'e2' holds a number out of range: {exc}") from None
         return cls(A=A, E1=E1, E2=E2, e1=e1, e2=e2, labels=labels)
+
+
+def _read_matrix(doc, key: str, max_shape: tuple[int, int]) -> SparseMatrix:
+    """Read doc[key] by SparseMatrix.from_dict, naming the matrix in its parse errors."""
+    try:
+        return SparseMatrix.from_dict(doc[key], max_shape)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{key}: {exc}") from None
 
 
 def _backed(doc) -> tuple[int, int]:

@@ -211,6 +211,18 @@ def test_residual_arithmetic(trivial_game):
     assert residual(state) == 1.0
 
 
+def test_residual_of_a_huge_or_nan_v_is_inf_or_nan_without_a_warning(kuhn):
+    state = init(kuhn[1])
+    state.k = 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state.v = np.full(state.v.size, 1e200)
+        assert residual(state) == math.inf
+        state.v = np.full(state.v.size, np.nan)
+        assert math.isnan(residual(state))
+    assert caught == []
+
+
 def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies):
     rng = np.random.default_rng(3)
     states = []

@@ -57,6 +57,16 @@ def test_construction_errors():
     # a shape is an integer, never truncated from a float
     with pytest.raises(TypeError):
         SparseMatrix(2.7, 3.2)
+    # a triplet list reads as a game file's does: an index is never truncated from
+    # a float, a bool is not a number, and a triplet has exactly three items
+    for bad in [(0.9, 1, 1.0), (0, 0.9, 1.0), (True, 1, 1.0), (0, False, 1.0), (0, 1, True),
+                ("1", 1, 1.0), (0, "1", 1.0), (0, 1, "1"), (0, 1), (0, 1, 1.0, 2)]:
+        with pytest.raises(TypeError, match="triplet 1 "):
+            SparseMatrix(2, 2, [(0, 0, 1.0), bad])
+    with pytest.raises(OverflowError):
+        SparseMatrix(2, 2, [(2 ** 63, 0, 1.0)])
+    with pytest.raises(OverflowError):
+        SparseMatrix(2, 2, [(0, 0, 10 ** 400)])
 
 
 def test_duplicates_summing_past_the_largest_double_are_refused():
@@ -261,6 +271,42 @@ def test_dict_round_trip():
     again = SparseMatrix.from_dict(m.to_dict())
     assert again.shape == m.shape
     assert again.triplets() == m.triplets()
+
+
+def same_record(a, b):
+    """Whether two matrices store the same shape and entries, to the bit and the dtype."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a._indptr, b._indptr), (a._indices, b._indices), (a._data, b._data)))
+
+
+# well-formed triplets, Python or numpy, with zeros and duplicates, five times in six,
+# else lists and tuples of every kind of item a triplet list can hold by mistake
+_INDEX = st.one_of(st.integers(0, 2), st.integers(0, 2).map(np.int64),
+                   st.integers(0, 2).map(np.uint8))
+_VALUE = st.one_of(st.sampled_from([0, 0.0, 1.0, 0.5, -0.5]), st.floats(-4, 4).map(np.float64))
+_GOOD = st.tuples(_INDEX, _INDEX, _VALUE)
+_ANY = st.one_of(
+    _INDEX, _VALUE, st.floats(), st.booleans(), st.sampled_from(["1", "", None]),
+    st.sampled_from([-1, 3, 2 ** 63, 10 ** 400, 1e308, float("inf"), float("nan")]))
+_BAD = st.one_of(st.lists(_ANY, min_size=2, max_size=4), st.tuples(_ANY, _ANY, _ANY))
+_TRIPLETS = st.lists(st.one_of(_GOOD, _GOOD, _GOOD, _GOOD.map(list), _GOOD.map(list), _BAD),
+                     max_size=6)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), _TRIPLETS)
+@settings(max_examples=300, deadline=None)
+def test_constructor_and_from_dict_read_a_triplet_list_the_same_way(rows, cols, trips):
+    try:
+        m = SparseMatrix(rows, cols, trips)
+    except (TypeError, ValueError, OverflowError):
+        with pytest.raises(FileFormatError):
+            SparseMatrix.from_dict({"rows": rows, "cols": cols, "triplets": trips})
+        return
+    assert same_record(SparseMatrix.from_dict({"rows": rows, "cols": cols, "triplets": trips}), m)
+    # triplets() gives Python numbers, which rebuild the record numpy scalars built,
+    # explicit zeros and summed duplicates included
+    assert same_record(SparseMatrix(rows, cols, m.triplets()), m)
 
 
 @pytest.mark.parametrize("doc", [

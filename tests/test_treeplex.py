@@ -743,6 +743,11 @@ def test_game_from_dict_errors(kuhn):
     bad_labels["labels"] = ["not", "a", "dict"]
     with pytest.raises(FileFormatError):
         SequenceFormGame.from_dict(bad_labels)
+    # A, E1 and E2 each have a triplet 17; a matrix's parse error says whose it is
+    bad_index = game.to_dict()
+    bad_index["E2"]["triplets"][17][1] = 0.5
+    with pytest.raises(FileFormatError, match=r"^E2: triplet 17 "):
+        SequenceFormGame.from_dict(bad_index)
 
 
 def test_e_vector_must_be_one_dimensional():
