@@ -2,20 +2,53 @@
 
 The method iterates on one stacked operator K = [[A, -E1^T], [E2, 0]],
 which maps u = (y, p) into the space of w = (x, q), and on one state
-vector z = (u, w). Each iteration takes a proximal step in u against
-g = K^T w, an ascent step in w against K u at the updated u, and then
-corrects u by K^T of the observed change in w. That correction product
-also moves g to the new w, so g is carried from step to step and an
-iteration costs exactly two sparse products, one with K and one with
-K^T, plus entrywise arithmetic and clipping y and x at zero.
+vector z = (u, w). Each iteration computes a point T(z) = (u2, w1): a
+proximal step in u against g = K^T w gives u1, an ascent step in w
+against K u1 gives w1, and u2 corrects u1 by K^T of the change in w.
+The step then moves z past T(z), to z + rho (T(z) - z), with the
+relaxation factor rho = RHO = 1.5 (Chambolle and Pock, "On the ergodic
+convergence rates of a first-order primal-dual algorithm", Math.
+Program. 159, 2016; He and Yuan, SIAM J. Imaging Sci. 5, 2012, for
+factors in (0, 2)). The correction product also moves g to the new w,
+so g is carried from step to step and an iteration costs exactly two
+sparse products, one with K and one with K^T, plus entrywise arithmetic
+and clipping y and x at zero. The step size lambda is one over the norm
+of the saddle-point operator, estimated at initialization by Lanczos
+(sparse.spectral_norm) to rounding accuracy.
 
-The accumulated update vector v telescopes to the distance travelled
-from the start, and ||v|| / (k * lambda) is the residual used as the
-stopping certificate: when it drops below epsilon, the uniform averages
-of the iterates form an approximate equilibrium of that accuracy. The
-step size lambda is one over the norm of the saddle-point operator,
-estimated at initialization by Lanczos (sparse.spectral_norm) to
-rounding accuracy; the guarantee needs lambda <= 1 / ||K||.
+The certificate. Let P = (u1, w1) be the point where a step's two
+projections are taken, F(u, w) = (K^T w + c_u, c_w - K u) the game's
+operator, skew plus a constant, and d the change of z in a step. The
+projections put (z - T(z)) - lambda F(P) in the normal cone of the
+strategy sets at P, whatever z is. Summed over the k steps of a window
+that starts at z0, with v = z - z0 the sum of the d, this gives for
+every point z* of the sets
+
+    lambda rho sum_i <F(z*), P_i - z*> <= <v, z* - z0> - ||v||^2 / 2 + E,
+
+where E sums (1/2 - 1/rho) ||d||^2 - (lambda / rho) <d^u, K^T d^w> over
+the steps; the state carries it next to v. Whenever E <= ||v||^2 / 2,
+the average of the P_i therefore satisfies <F(z*), avg P - z*> <=
+<r, z* - z0> for every z*, with r = v / (k lambda rho): its duality gap
+against the points within distance R of z0 is at most R ||r||, and
+||r|| = ||v|| / (k lambda rho) is the residual used as the stopping
+certificate. ||K|| does not enter the argument: the check E <= ||v||^2
+/ 2 certifies each window whatever lambda ||K|| is, and residual is inf
+while it fails, so such a window is never reported converged. The check
+costs one inner product of the stacked change with itself and one of
+its u part with lambda K^T (w1 - w), which the step computes anyway.
+At rho = 1 and lambda ||K|| <= 1 no term of E is positive, so the
+check holds: at the first step whose check fails, solve falls back to
+rho = 1 and restarts the averaging there, through the same code.
+
+The reported average. z_sum sums the points T(z), whose w part is P's
+and whose u part is P's less lambda K^T (w1 - w). Over a window these
+differences average to lambda^2 K^T r^w, so the average of the T(z)
+lies within lambda^2 ||K|| ||r||, lambda times the certificate when
+lambda ||K|| <= 1, of the average the argument covers, and the two meet
+as the certificate falls. The reported strategies are that average
+pushed onto the strategy polytopes, and their value and duality gap are
+computed from them exactly.
 
 On its own the certificate falls like d0 * ||K|| / k, d0 being the
 distance from the start to a solution. solve therefore restarts the
@@ -23,8 +56,8 @@ averaging (Applegate, Hinder, Lu, Lubin, arXiv 2105.12715): whenever
 the certificate has fallen to a fifth of its reference, PDLP's
 sufficient-decay factor of 0.2 (Applegate et al., arXiv 2106.04756),
 the ergodic average of the steps since the last restart becomes the new
-start point, and v, the running sum and k start again from zero. Each
-window between restarts is a fresh run of the same method, so the
+start point, and v, E, the running sum and k start again from zero.
+Each window between restarts is a fresh run of the same method, so the
 certificate, the averages and everything computed from them cover the
 steps since the last restart. Sequence-form zero-sum games are linear
 programs, on which restarted averaging converges linearly. The plain
@@ -36,7 +69,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -44,22 +77,25 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, InitializationError
 from .games import expected_value
-from .sparse import SparseMatrix, _dot, build_K, spectral_norm
+from .sparse import SparseMatrix, _dot, _einsum, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
                        feasibility_residuals, normalize_to_polytope)
 
 # step's clipping bound: np.maximum takes a 0-d array faster than the float 0.0
 _ZERO = np.zeros(())
+# the relaxation factor: step moves z to z + RHO (T(z) - z)
+RHO = 1.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve parameters; the defaults are sensible for small games.
 
-    epsilon is the target of the certificate ||v|| / (k * lambda), and
-    max_iter caps the number of steps. trace_every > 0 records a
-    TracePoint every that many iterations. The step size is not a
-    parameter: init sets lambda = 1 / ||K||.
+    epsilon is the target of the certificate ||v|| / (k * lambda * rho),
+    and max_iter caps the number of steps. trace_every > 0 records a
+    TracePoint every that many iterations. Neither the step size nor the
+    relaxation factor is a parameter: init sets lambda = 1 / ||K|| and
+    rho = RHO.
     """
 
     epsilon: float = 1e-4
@@ -94,21 +130,27 @@ class SolverState:
     """Mutable iteration state on the stacked operator K.
 
     Every stacked vector is ordered z = (u, w) = (y, p, x, q), and
-    bounds holds the offsets where p, x and q start. g = K^T w is
-    carried across steps. c = (0, e1, 0, e2) is the constant part of
-    the update. v accumulates every change of z, z_sum every iterate,
-    and z0 is the start. k counts the steps since the last restart,
-    steps all of them.
+    bounds holds the offsets where p, x and q start. g = K^T w / rho is
+    carried across steps; the division spares step a pass. c = (0, e1,
+    0, e2) is the constant part of the update. rho is step's relaxation
+    factor: RHO, or 1 after solve's fallback. v accumulates every change
+    of z, z_sum every T(z), and E every step's window term (see the
+    module docstring); z0 is the start. k counts the steps since the
+    last restart, steps all of them.
 
     __post_init__ builds every view of the state, once: y, p, x and q
-    into z, and views, all that step reads and writes. views holds lam
-    as a 0-d array, which multiplies as a vector operand does with none
-    of a Python float's dispatch; the u and w halves of c and z; and a
-    scratch buffer of two stacked vectors, step's new iterate and its
-    change, with the parts of them step writes. One rule keeps the views
-    valid: z, c and lam are only ever written in place, never assigned.
-    dataclasses.replace builds fresh views, including the copy's own
-    scratch buffer.
+    into z, and views, all that step reads and writes. views holds the
+    scalars lam, lam * rho and rho as 0-d arrays, which multiply as a
+    vector operand does with none of a Python float's dispatch, beside
+    whether rho is 1 and the window term's two coefficients; the u half
+    of c over rho and the w half of c; the u and w halves of z; and a
+    scratch buffer whose rows are T(z), its change t, (lam K^T t^w, 0)
+    and the change rho * t of z, with the parts of them step writes. One
+    rule keeps the views valid: z is only ever written in place, and c,
+    lam and rho change only through dataclasses.replace, which builds
+    fresh views, including the copy's own scratch buffer. g is scaled by
+    rho, so rho changes only where g is rebuilt: solve's fallback
+    replaces rho and then restarts.
     """
 
     K: SparseMatrix
@@ -120,7 +162,9 @@ class SolverState:
     z0: np.ndarray
     bounds: tuple[int, int, int]
     k: int
+    E: float
     lam: float
+    rho: float
     norm_K: float
     steps: int
     views: tuple = field(init=False, repr=False, compare=False)
@@ -128,11 +172,15 @@ class SolverState:
     def __post_init__(self):
         n2, m, end_x = self.bounds
         n = self.z.size
-        buf = np.empty(2 * n)
-        z1, dz = buf[:n], buf[n:]
+        rho = self.rho
+        buf = np.zeros((4, n))
+        z1, t = buf[0], buf[1]
         self.y, self.p, self.x, self.q = self.blocks(self.z)
-        self.views = (np.array(self.lam), self.c[:m], self.c[m:], self.z[:m], self.z[m:],
-                      z1, dz, z1[:m], z1[m:], z1[:n2], z1[m:end_x], dz[:m], dz[m:])
+        scalars = (np.array(self.lam), np.array(self.lam * rho), np.array(rho), rho == 1.0,
+                   rho * (rho / 2 - 1), rho)
+        self.views = (scalars, self.c[:m] / rho, self.c[m:], self.z[:m], self.z[m:],
+                      z1, t, z1[:m], z1[m:], z1[:n2], z1[m:end_x], t[:m], t[m:],
+                      buf[2, :m], buf[1:3], buf[3])
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
@@ -170,20 +218,24 @@ class SolveReport:
     y_plan: np.ndarray
     trace: list = field(default_factory=list)
     restarts: list = field(default_factory=list)
+    window_checks: list = field(default_factory=list)
+    fallback_step: Optional[int] = None
 
 
-def _window(K: SparseMatrix, z0: np.ndarray) -> dict:
+def _window(K: SparseMatrix, z0: np.ndarray, rho: float) -> dict:
     """The fields of an averaging window that starts at z0, which it keeps; the caller sets z to z0."""
-    return dict(g=K.transpose_matvec(z0[K.cols:]), v=np.zeros(z0.size),
-                z_sum=np.zeros(z0.size), z0=z0, k=0)
+    return dict(g=K.transpose_matvec(z0[K.cols:]) / rho, v=np.zeros(z0.size),
+                z_sum=np.zeros(z0.size), z0=z0, k=0, E=0.0)
 
 
 def init(game: SequenceFormGame, start=None) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
     lambda = 1 / ||K||, with ||K|| estimated by spectral_norm from its
-    fixed start vector. start may be a (y, p, x, q) quadruplet; the
-    default is all zeros.
+    fixed start vector, and rho = RHO. The certificate does not rest on
+    lambda ||K|| <= 1: the window check E <= ||v||^2 / 2 certifies each
+    window whatever lambda ||K|| is (see the module docstring). start
+    may be a (y, p, x, q) quadruplet; the default is all zeros.
     """
     K = build_K(game)
     est = spectral_norm(K)
@@ -210,8 +262,8 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     z0 = np.concatenate(parts)
     return SolverState(
         K=K, z=z0.copy(), c=c, bounds=tuple(accumulate(shapes[:3])),
-        lam=1.0 / est.value, norm_K=est.value, steps=0,
-        **_window(K, z0))
+        lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0,
+        **_window(K, z0, RHO))
 
 
 # overflow surfaces as the typed divergence error below, not a warning
@@ -219,18 +271,22 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     """Run one iteration in place and return the state.
 
-    With u = (y, p), w = (x, q) and the carried g = K^T w:
-    u1 = u - lam (g + (0, e1)) with y clipped at zero,
+    With u = (y, p), w = (x, q) and h = K^T w / rho carried as state.g,
+    T(z) = (u2, w1) with
+    u1 = u - lam rho (h + (0, e1) / rho) with y clipped at zero,
     w1 = w + lam (K u1 - (0, e2)) with x clipped at zero, and
-    u2 = u1 - lam K^T (w1 - w), which also moves g to K^T w1.
-    The new iterate (u2, w1) is built in the state's scratch buffer and
-    its change (u2 - u, w1 - w) beside it, both through state.views;
-    only the two products allocate.
+    u2 = u1 - lam K^T (w1 - w). z then moves by d = rho t, t = T(z) - z,
+    so h moves by K^T (w1 - w), the correction product's result, with
+    no rho scaling. E gains rho ((rho / 2 - 1) ||t||^2 - <t^u, lam K^T
+    t^w>), the window term of d. T(z), t, lam K^T t^w and d are built in
+    the state's scratch buffer through state.views; only the two
+    products allocate. At rho = 1, z becomes T(z) itself.
     """
     K, z = state.K, state.z
-    lam, c_u, c_w, u0, w0, z1, dz, u1, w1, y1, x1, du, dw = state.views
+    ((lam, lam_rho, rho, plain, tt_coef, tx_coef), c_u, c_w, u0, w0,
+     z1, t, u1, w1, y1, x1, tu, tw, lam_dg, t_and_lam_dg, d) = state.views
     np.add(state.g, c_u, out=u1)
-    u1 *= lam
+    u1 *= lam_rho
     np.subtract(u0, u1, out=u1)
     np.maximum(y1, _ZERO, out=y1)
     Ku = K.matvec(u1)
@@ -239,34 +295,48 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     np.add(w0, Ku, out=w1)
     del Ku  # so the two products' results are never held at once
     np.maximum(x1, _ZERO, out=x1)
-    np.subtract(w1, w0, out=dw)
-    dg = K.transpose_matvec(dw)
+    np.subtract(w1, w0, out=tw)
+    dg = K.transpose_matvec(tw)
     state.g += dg
-    dg *= lam
-    u1 -= dg
-    np.subtract(u1, u0, out=du)
-    state.v += dz
-    z[:] = z1
-    state.z_sum += z
+    np.multiply(dg, lam, out=lam_dg)
+    u1 -= lam_dg
+    np.subtract(u1, u0, out=tu)
+    tt, tx = _einsum("ij,j->i", t_and_lam_dg, t).tolist()
+    np.multiply(t, rho, out=d)
+    state.v += d
+    if plain:
+        z[:] = z1
+    else:
+        z += d
+    state.z_sum += z1
+    e = tt_coef * tt - tx_coef * tx
+    state.E += e
     state.k += 1
     state.steps += 1
-    # a non-finite entry makes the sum non-finite; only a finite sum past
-    # the largest double falls through to the entrywise check
-    if not math.isfinite(np.add.reduce(z)) and not np.isfinite(z).all():
+    # a non-finite entry of z makes t non-finite or past 1e154, so e is
+    # not finite; only then are z's entries checked one by one
+    if not math.isfinite(e) and not np.isfinite(z).all():
         raise DivergenceError(
             f"non-finite value in iterate at iteration {state.steps}", iteration=state.steps)
     return state
 
 
 def residual(state: SolverState) -> float:
-    """Convergence certificate ||v|| / (k * lambda); defined for k >= 1."""
+    """Convergence certificate ||v|| / (k * lambda * rho); defined for k >= 1.
+
+    It is inf while the window check E <= ||v||^2 / 2 fails, since such
+    a window has no certificate (see the module docstring).
+    """
     if state.k < 1:
         raise ValueError("residual is undefined before the first iteration")
-    return math.sqrt(_dot(state.v, state.v)) / (state.k * state.lam)
+    vv = _dot(state.v, state.v)
+    if vv == vv and not state.E <= 0.5 * vv:
+        return math.inf
+    return math.sqrt(vv) / (state.k * state.lam * state.rho)
 
 
 def ergodic_average(state: SolverState) -> Quadruplet:
-    """Uniform averages of the iterates seen so far."""
+    """Uniform averages of the points T(z) of the steps since the last restart."""
     if state.k < 1:
         raise ValueError("ergodic average is undefined before the first iteration")
     return state.blocks(state.z_sum / state.k)
@@ -294,6 +364,14 @@ def _trace_point(state, game, t0, res):
     return point, (x_plan, y_plan, value, gap, feas)
 
 
+def _window_check(state: SolverState) -> float:
+    """E / (||v||^2 / 2): the window's certificate holds while this is at most 1."""
+    half = 0.5 * float(_dot(state.v, state.v))
+    if half == 0.0:
+        return 0.0 if state.E <= 0.0 else math.inf
+    return state.E / half
+
+
 def _restart(state: SolverState) -> None:
     """Restart the averaging in place from the ergodic average.
 
@@ -302,7 +380,7 @@ def _restart(state: SolverState) -> None:
     from that start, without rebuilding K or estimating its norm again,
     and steps keeps counting.
     """
-    window = _window(state.K, state.z_sum / state.k)
+    window = _window(state.K, state.z_sum / state.k, state.rho)
     state.z[:] = window["z0"]
     vars(state).update(window)
 
@@ -326,6 +404,13 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     trace_every iterations too, before a restart on the same step. With
     trace_every > 0 each evaluated point is recorded in the trace, the
     final one included.
+
+    A step whose window check fails has residual inf: it is not
+    converged and neither sets the reference nor restarts. At the first
+    such step the solve falls back to rho = 1, with a restart, and
+    fallback_step records the step. window_checks holds E / (||v||^2 /
+    2) of each window as it closed: at each restart, at the fallback and
+    at the last step.
     """
     if config is None:
         config = SolverConfig()
@@ -334,6 +419,8 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     state = init(game)
     trace: list[TracePoint] = []
     restarts: list[int] = []
+    window_checks: list[float] = []
+    fallback_step = reference = None
     while True:
         step(state, game)
         res = residual(state)
@@ -343,10 +430,20 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             if trace_every:
                 trace.append(point)
         if done:
+            window_checks.append(_window_check(state))
             break
-        if state.steps == 1:
+        if res == math.inf:
+            check = _window_check(state)
+            if check > 1.0 and state.rho != 1.0:
+                window_checks.append(check)
+                state = replace(state, rho=1.0)
+                _restart(state)
+                fallback_step = state.steps
+                reference = None
+        elif reference is None:
             reference = res
         elif res <= 0.2 * reference:
+            window_checks.append(_window_check(state))
             _restart(state)
             restarts.append(state.steps)
             reference = res
@@ -366,4 +463,6 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         x_plan=x_plan,
         y_plan=y_plan,
         trace=trace,
-        restarts=restarts)
+        restarts=restarts,
+        window_checks=window_checks,
+        fallback_step=fallback_step)

@@ -38,6 +38,13 @@ import scipy.sparse
 
 from .errors import DimensionError, FileFormatError
 
+# np.einsum's kernel, called without np.einsum's dispatch, which costs
+# about 1.7 us a call: as long again as a small game's inner product
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
+
 # A list or tuple [row, col, value]: integer indices and a real value, no bool.
 Triplet = tuple[int, int, float]
 
@@ -82,9 +89,11 @@ class SparseMatrix:
         for k, t in enumerate(triplets):
             try:
                 r, c, x = t
-                # the typed buffers refuse any other index or value, but take a bool as an int
+                # the typed buffers refuse any other index or value, but take a bool
+                # as an int and a numpy bool as a float; a float value skips the bool tests
                 if (type(t) is not list and type(t) is not tuple or r is True or r is False
-                        or c is True or c is False or x is True or x is False):
+                        or c is True or c is False or type(x) is not float
+                        and (x is True or x is False or x is np.True_ or x is np.False_)):
                     raise TypeError
                 ri.append(r); ci.append(c); vals.append(x)
             except (TypeError, ValueError):
@@ -272,7 +281,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     count, and on a busy machine a thread hand-off can stall a call for
     tens of ms; einsum sums in one fixed order on the calling thread.
     """
-    return np.einsum("i,i->", a, b)
+    return _einsum("i,i->", a, b)
 
 
 class SpectralEstimate(NamedTuple):

@@ -32,6 +32,14 @@ def pennies():
     return simplex_game(SparseMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
 
 
+@pytest.fixture
+def plain_rho(monkeypatch):
+    """init builds states with rho = 1: each step moves z to T(z) itself."""
+    import seqform.solver as solver_module
+
+    monkeypatch.setattr(solver_module, "RHO", 1.0)
+
+
 def quad(state):
     return (state.y.tolist(), state.p.tolist(), state.x.tolist(), state.q.tolist())
 
@@ -103,6 +111,95 @@ def test_step_is_safe(kuhn, pennies):
         assert init(game).lam * dense_spectral_norm(build_K(game)) <= 1 + 1e-12
 
 
+def exact_norm(game):
+    return float(np.linalg.norm(build_K(game).to_dense(), 2))
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5])
+def test_window_identity(kuhn, monkeypatch, rho):
+    # with P_i = (u1, w1) the point of step i's projections and E the state's
+    # window term: sum <z_i - T(z_i), P_i - z*> = (1/rho) [(||z0 - z*||^2 -
+    # ||z_k - z*||^2) / 2 + E] at every z*, which is what the certificate rests on
+    import seqform.solver as solver_module
+
+    monkeypatch.setattr(solver_module, "RHO", rho)
+    rng = np.random.default_rng(5)
+    for game in (kuhn[1], ternary_game(4)):
+        K = build_K(game).to_dense()
+        state = init(game)
+        m, n2, n1 = K.shape[1], game.n2, game.n1
+        c_u, c_w, lam = state.c[:m], state.c[m:], state.lam
+        stars = rng.standard_normal((4, state.z.size))
+        lhs = np.zeros(len(stars))
+        for _ in range(80):
+            z = state.z.copy()
+            u, w = z[:m], z[m:]
+            u1 = u - lam * (K.T @ w + c_u)
+            u1[:n2] = np.maximum(u1[:n2], 0.0)
+            w1 = w + lam * (K @ u1 - c_w)
+            w1[:n1] = np.maximum(w1[:n1], 0.0)
+            T = np.concatenate([u1 - lam * K.T @ (w1 - w), w1])
+            P = np.concatenate([u1, w1])
+            step(state, game)
+            assert np.allclose(state.z, z + rho * (T - z), rtol=0.0, atol=1e-13)
+            lhs += (P - stars) @ (z - T)
+        dist0 = np.sum((state.z0 - stars) ** 2, axis=1)
+        dist = np.sum((state.z - stars) ** 2, axis=1)
+        rhs = ((dist0 - dist) / 2 + state.E) / rho
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs)), (lhs, rhs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_window_check_is_never_reported_converged(kuhn, monkeypatch):
+    # at lambda = 1.3 / ||K|| the check first fails at step 9, long before the
+    # plain iteration diverges at step 1967; residual is inf at every failing step
+    _, game, _ = kuhn
+    fixed_norm(monkeypatch, exact_norm(game) / 1.3)
+    state = init(game)
+    failed = []
+    with pytest.raises(DivergenceError) as err:
+        while True:
+            step(state, game)
+            # the solver's inner product, so that E level with ||v||^2 / 2 reads alike
+            half = 0.5 * float(np.einsum("i,i->", state.v, state.v))
+            if state.E > half:
+                failed.append(state.steps)
+                assert residual(state) == math.inf
+    assert failed[0] == 9 < err.value.iteration == 1967
+
+    # solve falls back to rho = 1 at that step, and the window it closes
+    # there is the one whose check failed
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300, trace_every=1))
+    assert not report.converged
+    assert report.fallback_step == 9
+    assert report.window_checks[0] > 1.0
+    assert report.trace[8].residual == math.inf
+    assert len(report.window_checks) == len(report.restarts) + 2
+    for point in report.trace:
+        assert not point.residual < 1e-4
+
+
+def test_window_checks_and_fallback_on_kuhn(kuhn):
+    report = solve(kuhn[1], SolverConfig(epsilon=1e-4))
+    assert report.converged and report.fallback_step is None
+    # one check per window: one per restart and the last one
+    assert len(report.window_checks) == len(report.restarts) + 1
+    assert all(check <= 1.0 for check in report.window_checks)
+
+
+def test_step_past_one_over_norm_is_certified_window_by_window(kuhn, monkeypatch):
+    # the window check, not lambda ||K|| <= 1, is what the certificate needs
+    for game in (kuhn[1], ternary_game(4)):
+        value = lp_value(game)
+        fixed_norm(monkeypatch, exact_norm(game) / 1.001)
+        for epsilon in (1e-3, 1e-6):
+            report = solve(game, SolverConfig(epsilon=epsilon))
+            assert report.converged
+            assert report.lam * exact_norm(game) > 1.0
+            assert all(check <= 1.0 for check in report.window_checks)
+            assert abs(report.value - value) <= report.duality_gap + 1e-12
+
+
 def test_init_with_start(trivial_game):
     state = init(trivial_game, start=([0.5], [0.0], [1.0], [-1.0]))
     assert np.array_equal(state.z0, [0.5, 0.0, 1.0, -1.0])
@@ -150,7 +247,7 @@ def test_huge_payoffs_fail_init_within_one_round(monkeypatch):
     assert math.isfinite(state.norm_K) and state.lam > 0.0
 
 
-def test_first_step_hand_trace(trivial_game):
+def test_first_step_hand_trace(trivial_game, plain_rho):
     # with lambda = 1 and a zero start: the first proximal pass leaves y at
     # zero, drives p to -1, lifts x to 1, and books the constraint defect in q
     state = init(trivial_game)
@@ -159,7 +256,7 @@ def test_first_step_hand_trace(trivial_game):
     assert state.k == 1
 
 
-def test_second_step_hand_trace(trivial_game):
+def test_second_step_hand_trace(trivial_game, plain_rho):
     state = init(trivial_game)
     step(state, trivial_game)
     step(state, trivial_game)
@@ -168,7 +265,7 @@ def test_second_step_hand_trace(trivial_game):
     assert residual(state) == np.sqrt(2.0) / 2.0
 
 
-def test_step_matches_nine_product_reference(kuhn, monkeypatch):
+def test_step_matches_nine_product_reference(kuhn, monkeypatch, plain_rho):
     # the same update written block by block with separate A/E1/E2 products
     def reference_step(game, lam, y0, p0, x0, q0):
         A, E1, E2 = game.A, game.E1, game.E2
@@ -199,7 +296,7 @@ def test_step_matches_nine_product_reference(kuhn, monkeypatch):
     assert len(calls) == 2
 
 
-def test_residual_arithmetic(trivial_game):
+def test_residual_arithmetic(trivial_game, plain_rho):
     state = init(trivial_game)
     state.lam = 0.5
     with pytest.raises(ValueError):
@@ -223,7 +320,7 @@ def test_residual_of_a_huge_or_nan_v_is_inf_or_nan_without_a_warning(kuhn):
     assert caught == []
 
 
-def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies):
+def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies, plain_rho):
     rng = np.random.default_rng(3)
     states = []
     for game in (kuhn[1], pennies, random_matrix_game(7, 5, seed=1)):
@@ -269,7 +366,7 @@ def test_norm_and_residual_bits_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_ergodic_average_is_running_mean(pennies):
+def test_ergodic_average_is_running_mean(pennies, plain_rho):
     state = init(pennies)
     with pytest.raises(ValueError):
         ergodic_average(state)
@@ -293,9 +390,10 @@ def test_telescoping_identity():
 
 def test_trivial_game_convergence(trivial_game):
     state = plain_iteration(trivial_game, 1e-2)
-    # the iterates reach the fixed point after two steps, after which the
-    # residual decays exactly like sqrt(2)/k
-    assert state.k == 142
+    # the relaxed iterates circle into the fixed point (1, 0, 1, 0), their
+    # distance halving every step, so ||v|| tends to sqrt(2) and the
+    # residual to sqrt(2) / (1.5 k): 142 steps at rho = 1, 95 at rho = 1.5
+    assert state.k == 95
     assert 0.0099 < residual(state) < 1e-2
     x_plan, y_plan = averaged_plans(state, trivial_game)
     assert np.array_equal(x_plan, [1.0])
@@ -306,10 +404,10 @@ def test_trivial_game_convergence(trivial_game):
 
 def test_matching_pennies_solution(pennies):
     state = plain_iteration(pennies, 1e-3)
-    # at lambda = 1/||K|| = 0.5 the residual after 2000 steps is exactly
-    # 1e-3, so step 2001 is the first below it; a step one rounding error
-    # too large (an underestimated norm) got there at 2000
-    assert state.k == 2001
+    # at lambda = 1/||K|| = 0.5 and rho = 1.5, ||v|| settles at 1 and the
+    # residual at 1 / (0.75 k), which is 1e-3 at k = 4000 / 3; so step 1334
+    # is the first below it (2001 at rho = 1)
+    assert state.k == 1334
     # the symmetric start keeps both coordinates identical, so the
     # normalized averages sit exactly on the mixed equilibrium
     x_plan, y_plan = averaged_plans(state, pennies)
@@ -341,9 +439,10 @@ def test_solve_is_deterministic():
 def test_trace_schedule(kuhn):
     _, game, _ = kuhn
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    # the run stops at 398, which adds a final row after the scheduled ones;
-    # it stopped at 647 before the restart factor moved from 1/2 to 1/5
-    assert [t.iter for t in report.trace] == [100, 200, 300, 398]
+    # the run stops at 264, which adds a final row after the scheduled ones;
+    # it stopped at 398 before the relaxed step, and at 647 before the
+    # restart factor moved from 1/2 to 1/5
+    assert [t.iter for t in report.trace] == [100, 200, 264]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert [t.iter for t in report.trace] == [7, 10]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10))
@@ -378,7 +477,7 @@ def test_divergence_raises(kuhn, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game):
+def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game, plain_rho):
     # step checks the sum of z first; finite entries whose sum overflows
     # fall through to the entrywise check and are not a divergence
     state = init(trivial_game, start=([0.0], [-1.5e308], [0.0], [1e308]))
@@ -428,7 +527,7 @@ def test_restart_contract(kuhn, monkeypatch):
     assert report.converged
     assert calls["norm"] == 1
     assert restart_steps and report.iterations == calls["steps"] < 5000
-    assert report.restarts == restart_steps == [36, 112, 191, 249, 324]
+    assert report.restarts == restart_steps == [24, 76, 131, 165, 214]
     assert [t.iter for t in report.trace] == list(range(1, report.iterations + 1))
 
     # a cap on a step where the rule fires stops before restarting
@@ -489,7 +588,7 @@ def test_each_report_point_is_evaluated_once(kuhn, monkeypatch):
     assert calls == [report.iterations] and report.trace == []
     calls.clear()
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    assert calls == [100, 200, 300, 398] == [t.iter for t in report.trace]
+    assert calls == [100, 200, 264] == [t.iter for t in report.trace]
     calls.clear()
     solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert calls == [7, 10]
@@ -564,7 +663,7 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("which", ["kuhn", "matrix", "treeplex"])
-def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which):
+def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
     import seqform.solver as solver_module
 
     game = {"kuhn": kuhn[1], "matrix": random_matrix_game(50, 40, 0),

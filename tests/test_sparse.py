@@ -63,6 +63,10 @@ def test_construction_errors():
                 ("1", 1, 1.0), (0, "1", 1.0), (0, 1, "1"), (0, 1), (0, 1, 1.0, 2)]:
         with pytest.raises(TypeError, match="triplet 1 "):
             SparseMatrix(2, 2, [(0, 0, 1.0), bad])
+    # so is a numpy bool, which the value buffer would otherwise take as 1.0 or 0.0
+    for flag in (np.True_, np.False_):
+        with pytest.raises(TypeError, match="triplet 0 "):
+            SparseMatrix(2, 2, [(0, 0, flag)])
     with pytest.raises(OverflowError):
         SparseMatrix(2, 2, [(2 ** 63, 0, 1.0)])
     with pytest.raises(OverflowError):
