@@ -7,11 +7,12 @@ file.
 
 All files are written deterministically: floating-point numbers are
 serialized with 17 significant digits (enough to round-trip doubles),
-dictionary key order is fixed, and timing columns are zero unless
---timing is given. Running the same command twice therefore produces
-byte-identical output, and the manifest embedded in every report holds
-the resolved flags needed to reproduce a run and names the game as
-{"path", "sha256"} or {"builtin": "kuhn"}.
+dictionary key order is fixed, and no file holds a clock reading: the
+trace's elapsed_ms column is always 0, kept so the trace's columns do
+not change. The same command therefore writes the same bytes at a
+fixed BLAS thread count, and the manifest embedded in every report
+holds the resolved flags needed to reproduce a run and names the game
+as {"path", "sha256"} or {"builtin": "kuhn"}.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
@@ -106,15 +107,15 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, render_json(obj) + "\n")
 
 
-def write_trace_csv(path: str, trace, timing: bool) -> None:
+def write_trace_csv(path: str, trace) -> None:
     lines = [TRACE_HEADER]
     for t in trace:
-        elapsed_ms = t.elapsed * 1000.0 if timing else 0.0
         lines.append(",".join([
             str(t.iter), _fmt_residual(t.residual), _fmt_float(t.duality_gap),
             _fmt_float(t.value), _fmt_float(t.p0), _fmt_float(t.neg_q0),
             _fmt_float(t.feas_x), _fmt_float(t.feas_y),
-            _fmt_float(t.min_x), _fmt_float(t.min_y), _fmt_float(elapsed_ms),
+            # elapsed_ms: no output file holds a clock reading
+            _fmt_float(t.min_x), _fmt_float(t.min_y), "0",
         ]))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -220,8 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="iteration budget (default %(default)s)")
     so.add_argument("--trace-every", type=_nonnegative_int, default=100,
                     help="record a trace row every N iterations (default 100)")
-    so.add_argument("--timing", action="store_true",
-                    help="write real elapsed_ms values (costs reproducibility)")
     so.add_argument("--report", default="report.json", help="report path (default report.json)")
     so.add_argument("--trace", default="trace.csv", help="trace path (default trace.csv)")
     so.add_argument("--strategies", default=None,
@@ -269,7 +268,6 @@ def _manifest(args, game_desc: dict) -> dict:
             "epsilon": args.epsilon,
             "max_iters": args.max_iters,
             "trace_every": args.trace_every,
-            "timing": args.timing,
             "report": args.report,
             "trace": args.trace,
             "strategies": args.strategies,
@@ -332,7 +330,7 @@ def cmd_solve(args) -> int:
 
     report = solve(game, SolverConfig(epsilon=args.epsilon, max_iter=args.max_iters,
                                       trace_every=args.trace_every))
-    write_trace_csv(args.trace, report.trace, args.timing)
+    write_trace_csv(args.trace, report.trace)
     _write_json(args.report, _report_dict(report, _manifest(args, game_desc)))
     if args.strategies:
         _write_json(args.strategies, _strategies_dict(report))

@@ -138,19 +138,21 @@ class SolverState:
     module docstring); z0 is the start. k counts the steps since the
     last restart, steps all of them.
 
-    __post_init__ builds every view of the state, once: y, p, x and q
-    into z, and views, all that step reads and writes. views holds the
-    scalars lam, lam * rho and rho as 0-d arrays, which multiply as a
-    vector operand does with none of a Python float's dispatch, beside
-    whether rho is 1 and the window term's two coefficients; the u half
-    of c over rho and the w half of c; the u and w halves of z; and a
-    scratch buffer whose rows are T(z), its change t, (lam K^T t^w, 0)
-    and the change rho * t of z, with the parts of them step writes. One
-    rule keeps the views valid: z is only ever written in place, and c,
-    lam and rho change only through dataclasses.replace, which builds
-    fresh views, including the copy's own scratch buffer. g is scaled by
-    rho, so rho changes only where g is rebuilt: solve's fallback
-    replaces rho and then restarts.
+    __post_init__ copies z, g, v, z_sum and z0, so every construction, a
+    dataclasses.replace copy included, owns the vectors step moves and
+    can be stepped apart from the original. It then builds every view of
+    the state, once: y, p, x and q into z, and views, all that step
+    reads and writes. views holds the scalars lam, lam * rho and rho as
+    0-d arrays, which multiply as a vector operand does with none of a
+    Python float's dispatch, beside whether rho is 1 and the window
+    term's two coefficients; the u half of c over rho and the w half of
+    c; the u and w halves of z; and a scratch buffer whose rows are
+    T(z), its change t, (lam K^T t^w, 0) and the change rho * t of z,
+    with the parts of them step writes. One rule keeps the views valid:
+    z is only ever written in place, and c, lam and rho change only
+    through dataclasses.replace, which builds fresh views, including the
+    copy's own scratch buffer. g is scaled by rho, so rho changes only
+    where g is rebuilt: solve's fallback replaces rho and then restarts.
     """
 
     K: SparseMatrix
@@ -170,6 +172,8 @@ class SolverState:
     views: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("z", "g", "v", "z_sum", "z0"):
+            setattr(self, name, getattr(self, name).copy())
         n2, m, end_x = self.bounds
         n = self.z.size
         rho = self.rho
@@ -189,6 +193,19 @@ class SolverState:
 
 @dataclass(frozen=True)
 class TracePoint:
+    """One evaluation of the solver state, a row of the trace.
+
+    iter is the number of steps taken; residual the certificate
+    ||v|| / (k lambda rho) of the window then open, inf while its check
+    fails. duality_gap and value belong to the ergodic averages pushed
+    onto the strategy polytopes. p0 and neg_q0 are the first entries of
+    the last iterate's p and -q, the root constraints' multipliers, each
+    an estimate of the game's value. feas_x, feas_y, min_x and min_y are
+    the last iterate's feasibility residuals (FeasibilityResiduals).
+    elapsed is the seconds since solve started, init included; it stays
+    in memory, and the CLI writes no clock reading to any file.
+    """
+
     iter: int
     residual: float
     duality_gap: float
@@ -204,6 +221,20 @@ class TracePoint:
 
 @dataclass
 class SolveReport:
+    """What solve returns; see solve for how each field is found.
+
+    converged says whether residual fell below epsilon; iterations
+    counts every step. lam and norm_K are the step size and the
+    operator norm estimate it is the reciprocal of. residual, value,
+    duality_gap, x_plan and y_plan describe the final window: its
+    certificate and its ergodic averages pushed onto the strategy
+    polytopes. feas holds the feasibility residuals and last the
+    (y, p, x, q) blocks of the last iterate. trace holds the recorded
+    TracePoints, restarts the steps at which the averaging restarted,
+    window_checks E / (||v||^2 / 2) of each window as it closed, and
+    fallback_step the step at which rho fell back to 1, or None.
+    """
+
     converged: bool
     iterations: int
     epsilon: float
@@ -261,7 +292,7 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
     z0 = np.concatenate(parts)
     return SolverState(
-        K=K, z=z0.copy(), c=c, bounds=tuple(accumulate(shapes[:3])),
+        K=K, z=z0, c=c, bounds=tuple(accumulate(shapes[:3])),
         lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0,
         **_window(K, z0, RHO))
 

@@ -170,11 +170,12 @@ class SequenceFormGame:
         labels = doc.get("labels")
         if labels is not None and not isinstance(labels, dict):
             raise FileFormatError("'labels' must be an object when present")
+        # the constructor converts the checked lists, once; only an integer
+        # past the largest double can fail there
         try:
-            e1, e2 = (np.array(doc[vec], dtype=np.float64) for vec in ("e1", "e2"))
+            return cls(A=A, E1=E1, E2=E2, e1=doc["e1"], e2=doc["e2"], labels=labels)
         except OverflowError as exc:
             raise FileFormatError(f"'e1' or 'e2' holds a number out of range: {exc}") from None
-        return cls(A=A, E1=E1, E2=E2, e1=e1, e2=e2, labels=labels)
 
 
 def _read_matrix(doc, key: str, max_shape: tuple[int, int]) -> SparseMatrix:

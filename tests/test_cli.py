@@ -78,18 +78,20 @@ def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     (["solve", "--builtin", "kuhn", "--epsilon", "nan"], "expected a finite positive number"),
     (["solve", "--builtin", "kuhn", "--epsilon", "inf"], "expected a finite positive number"),
     (["solve", "--builtin", "kuhn", "--lambda", "0.5"], "unrecognized arguments: --lambda"),
+    (["solve", "--builtin", "kuhn", "--timing"], "unrecognized arguments: --timing"),
     (["solve", "--builtin", "kuhn", "--trace-every", "-1"], "expected a nonnegative integer, got -1"),
     (["solve", "--builtin", "kuhn", "--max-iters", "2.5"], "expected an integer, got '2.5'"),
     (["solve", "--builtin", "kuhn", "--epsilon", "abc"], "expected a number, got 'abc'"),
 ], ids=["make-game-rows-0", "solve-epsilon-0", "solve-epsilon-nan", "solve-epsilon-inf",
-        "solve-lambda-is-unknown", "solve-trace-every-negative", "solve-max-iters-not-integer",
-        "solve-epsilon-not-number"])
+        "solve-lambda-is-unknown", "solve-timing-is-unknown", "solve-trace-every-negative",
+        "solve-max-iters-not-integer", "solve-epsilon-not-number"])
 def test_nonpositive_rows_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_reports_each_violation(tmp_path, capsys):
@@ -309,7 +311,7 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert doc["manifest"]["version"] == "0.1.0"
     assert doc["manifest"]["flags"] == {
         "epsilon": 0.01, "max_iters": 100000, "trace_every": 100,
-        "timing": False, "report": str(tmp_path / "report.json"),
+        "report": str(tmp_path / "report.json"),
         "trace": str(tmp_path / "trace.csv"),
         "strategies": str(tmp_path / "s.json")}
 
@@ -335,12 +337,6 @@ def test_solve_reruns_are_byte_identical(tmp_path, monkeypatch):
     second = ((tmp_path / "report.json").read_bytes(),
               (tmp_path / "trace.csv").read_bytes())
     assert first == second
-
-
-def test_solve_timing_opts_into_wall_clock(tmp_path):
-    assert main(solve_kuhn_args(tmp_path, "--timing")) == 0
-    rows = read(tmp_path / "trace.csv").splitlines()[1:]
-    assert any(not row.endswith(",0") for row in rows)
 
 
 def test_solve_game_file_records_hash(tmp_path):
@@ -546,6 +542,14 @@ def test_load_game_file_restores_the_collector(tmp_path, monkeypatch):
     assert seen == [False, False]
 
 
+def env_importing_this_seqform() -> dict:
+    """os.environ with this checkout's seqform first on PYTHONPATH, for a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(seqform.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
 def test_solve_leaves_scipy_linalg_unimported(tmp_path):
     # importing scipy.linalg costs more than a whole Kuhn set-up
     modules = ("scipy.linalg", "scipy.sparse.linalg")
@@ -554,13 +558,29 @@ def test_solve_leaves_scipy_linalg_unimported(tmp_path):
             "code = main(['solve', '--builtin', 'kuhn'])\n"
             f"print([m for m in {modules!r} if m in sys.modules])\n"
             "sys.exit(code)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(seqform.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=env_importing_this_seqform(), capture_output=True, text=True,
+                         timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_solve_reruns_in_fresh_processes_are_byte_identical(tmp_path):
+    # string hashing, and so set and dict iteration order, differs only between processes
+    env = env_importing_this_seqform()
+    outputs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "seqform.cli", "solve", "--builtin", "kuhn",
+             "--epsilon", "1e-3", "--trace-every", "1", "--strategies", "s.json"],
+            cwd=cwd, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+            timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append([(cwd / name).read_bytes()
+                        for name in ("report.json", "trace.csv", "s.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_render_json_round_trips_doubles():
@@ -574,10 +594,8 @@ def test_write_trace_csv_golden(tmp_path):
                        p0=1.0, neg_q0=-1.0, feas_x=0.0, feas_y=0.0,
                        min_x=0.0, min_y=-0.125, elapsed=0.25)
     path = tmp_path / "t.csv"
-    write_trace_csv(str(path), [point], timing=False)
+    write_trace_csv(str(path), [point])
     assert read(path).splitlines() == [
         TRACE_HEADER,
         "3,0.5,0.25,-0.055555555555555552,1,-1,0,0,0,-0.125,0",
     ]
-    write_trace_csv(str(path), [point], timing=True)
-    assert read(path).splitlines()[1].endswith(",250")

@@ -1,9 +1,12 @@
-"""README's Python examples run as written."""
+"""README's Python examples and command lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from seqform.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,29 @@ def test_readme_python_blocks_run_in_one_namespace(capsys):
     assert state.E <= 0.5 * float(np.einsum("i,i->", state.v, state.v))
     assert namespace["residual"](state) < 1e-3
     assert capsys.readouterr().out
+
+
+def run_seqform(line: str) -> int:
+    words = shlex.split(line)
+    assert words[0] == "seqform", line
+    return main(words[1:])
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    commands, loop = re.findall(r"^```\n(.*?)^```", section, re.DOTALL | re.MULTILINE)[:2]
+    monkeypatch.chdir(tmp_path)
+    lines = commands.splitlines()
+    assert lines and all(line.startswith("seqform ") for line in lines)
+    for line in lines:
+        assert run_seqform(line) == 0, line
+    # the grid loop at its first size and first seed, continuation lines joined
+    loop = loop.replace("\\\n", " ")
+    first = {name: values.split()[0]
+             for name, values in re.findall(r"for (\w+) in ([^;]+); do", loop)}
+    solves = [re.sub(r"\$\{?(\w+)\}?", lambda m: first[m.group(1)], line.strip())
+              for line in loop.splitlines() if line.strip().startswith("seqform ")]
+    assert solves
+    for line in solves:
+        assert run_seqform(line) == 0, line

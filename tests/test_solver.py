@@ -632,12 +632,6 @@ def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
     assert all(m is state.K for m in products)
 
 
-def copied(state):
-    """A dataclasses.replace copy of state with arrays and views of its own; K stays shared."""
-    return dataclasses.replace(state, **{name: getattr(state, name).copy()
-                                         for name in ("z", "g", "v", "z_sum", "z0")})
-
-
 def concatenate_step(state, game):
     """The step as first written, a new array for every intermediate and z1 by concatenation."""
     K, lam, z, c = state.K, state.lam, state.z, state.c
@@ -671,7 +665,7 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
     # Kuhn's and the matrix game's K multiply dense, the treeplex's through compressed rows
     assert isinstance(build_K(game)._product_layout()[0], np.ndarray) == (which != "treeplex")
     state = init(game)
-    ref = copied(state)
+    ref = dataclasses.replace(state)
     for k in range(1, 501):
         step(state, game)
         concatenate_step(ref, game)
@@ -685,7 +679,7 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
 
 def test_replace_copy_views_its_own_arrays(kuhn):
     state = init(kuhn[1])
-    copy = copied(state)
+    copy = dataclasses.replace(state)
     _, _, _, u0, w0, *scratch = copy.views
     views = (copy.y, copy.p, copy.x, copy.q, u0, w0)
     assert all(np.shares_memory(view, copy.z) for view in views)
@@ -695,6 +689,26 @@ def test_replace_copy_views_its_own_arrays(kuhn):
     assert all(np.shares_memory(view, scratch[0].base) for view in scratch)
     assert not any(np.shares_memory(view, a) for view in scratch
                    for a in (copy.z, state.z) + state.views[5:])
+
+
+def test_stepping_a_replace_copy_leaves_the_original_as_it_was(kuhn):
+    game = kuhn[1]
+    state = init(game)
+    for _ in range(5):
+        step(state, game)
+    names = ("z", "g", "v", "z_sum", "z0")
+    before = {name: getattr(state, name).copy() for name in names}
+    counters = (state.k, state.E, state.steps)
+    res = residual(state)
+    copy = dataclasses.replace(state)
+    for _ in range(5):
+        step(copy, game)
+    assert copy.steps == 10
+    for name in names:
+        assert same_bits(getattr(state, name), before[name]), name
+        assert not np.shares_memory(getattr(state, name), getattr(copy, name)), name
+    assert (state.k, state.E, state.steps) == counters
+    assert residual(state) == res
 
 
 def test_step_allocates_less_than_one_state_vector():
@@ -717,9 +731,9 @@ def test_step_allocates_less_than_one_state_vector():
     assert peak < 8 * state.z.size
 
     # copies stepped in turn each match their own run alone
-    first, second = copied(state), copied(state)
+    first, second = dataclasses.replace(state), dataclasses.replace(state)
     solver_module._restart(second)
-    alone = [copied(first), copied(second)]
+    alone = [dataclasses.replace(first), dataclasses.replace(second)]
     for copy in alone:
         for _ in range(20):
             step(copy, game)
