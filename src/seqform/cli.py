@@ -188,7 +188,9 @@ def _positive_float(text: str) -> float:
     return x
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once a process, at the terminal width of the first call;
     # HelpFormatter would otherwise query the terminal once per argument
     fmt = functools.partial(argparse.HelpFormatter,
                             width=shutil.get_terminal_size().columns - 2)
@@ -339,8 +341,7 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -245,22 +245,16 @@ class SparseMatrix:
 def _row_major(ri, ci, vals):
     """Entries sorted by row, then column, with duplicates summed in input order.
 
-    Input already in that order, as from_dense and every file that
-    to_dict writes are, passes linear checks only. Otherwise a stable
-    sort by row, and a full sort by row and column only if the columns
-    within a row are still out of order: build_K's stacked blocks come
-    out of the row sort in order, and a full sort there costs tens of ms
-    on large games. A sum that cancels stays an explicit zero; one that
-    overflows is a ValueError.
+    Input already in that order, as from_dense, the game's K and every
+    file that to_dict writes are, passes linear checks only; any other
+    is put in order by one stable sort. A sum that cancels stays an
+    explicit zero; one that overflows is a ValueError.
     """
-    if (ri[1:] < ri[:-1]).any():
-        order = np.argsort(ri, kind="stable")
-        ri, ci, vals = ri[order], ci[order], vals[order]
     same_row = ri[1:] == ri[:-1]
-    if (same_row & (ci[1:] < ci[:-1])).any():
-        # the rows stay where they are, so same_row still holds
+    if (ri[1:] < ri[:-1]).any() or (same_row & (ci[1:] < ci[:-1])).any():
         order = np.lexsort((ci, ri))
         ri, ci, vals = ri[order], ci[order], vals[order]
+        same_row = ri[1:] == ri[:-1]
     repeat = same_row & (ci[1:] == ci[:-1])
     if not repeat.any():
         return ri, ci, vals

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: files, exit codes, determinism."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -426,6 +427,21 @@ def test_help_lists_the_three_commands(capsys):
         main(["--help"])
     assert err.value.code == 0
     assert "{make-game,validate,solve}" in capsys.readouterr().out
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def record(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    out = str(tmp_path / "kuhn.json")
+    assert main(["make-game", "kuhn", "--out", out]) == 0
+    assert main(["validate", out]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

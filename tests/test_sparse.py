@@ -6,13 +6,13 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqform import (DimensionError, FileFormatError, SolverConfig,
-                     SparseMatrix, ValidationError, build_K, init, kuhn_poker,
-                     random_matrix_game, simplex_game, solve, spectral_norm,
-                     to_sequence_form)
+from seqform import (DimensionError, FileFormatError, SequenceFormGame,
+                     SolverConfig, SparseMatrix, ValidationError, build_K, init,
+                     kuhn_poker, random_matrix_game, simplex_game, solve,
+                     spectral_norm, to_sequence_form)
 from seqform import sparse as sparse_module
 from seqform.oracle import dense_spectral_norm
-from conftest import ternary_game
+from conftest import random_efg, random_treeplex, ternary_game
 
 
 def test_duplicate_triplets_are_summed():
@@ -71,6 +71,15 @@ def test_construction_errors():
         SparseMatrix(2, 2, [(2 ** 63, 0, 1.0)])
     with pytest.raises(OverflowError):
         SparseMatrix(2, 2, [(0, 0, 10 ** 400)])
+
+
+def test_duplicates_sum_in_input_order_when_rows_arrive_out_of_order():
+    # 1.0 is half an ulp of 1e16, so 1e16, 1.0 and -1e16 sum to 0.0 or to 1.0 by
+    # their order; the cancelled sum stays stored, an explicit zero
+    m = SparseMatrix(2, 1, [(1, 0, 1e16), (0, 0, 1.0), (1, 0, 1.0), (1, 0, -1e16)])
+    assert m.triplets() == [(0, 0, 1.0), (1, 0, 0.0)]
+    m = SparseMatrix(2, 1, [(1, 0, 1.0), (0, 0, 1.0), (1, 0, 1e16), (1, 0, -1e16)])
+    assert m.triplets() == [(0, 0, 1.0), (1, 0, 1.0)]
 
 
 def test_duplicates_summing_past_the_largest_double_are_refused():
@@ -451,3 +460,63 @@ def test_build_K_rejects_invalid_game():
         build_K(bad)
     assert err.value.violations
     assert "e1" in str(err.value)
+
+
+def stacked_K(game):
+    """K assembled block by block, [A; -E1^T; E2] stacked and then sorted into rows."""
+    n1, n2 = game.n1, game.n2
+    (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
+        m._coo() for m in (game.A, game.E1, game.E2))
+    return SparseMatrix.__new__(SparseMatrix)._from_arrays(
+        n1 + game.l2, n2 + game.l1,
+        np.concatenate([ar, ec1, n1 + er2]),
+        np.concatenate([ac, n2 + er1, ec2]),
+        np.concatenate([av, -ev1, ev2]))
+
+
+def renumbered_treeplex(rng):
+    # every row and sequence but the roots renumbered, so E's columns run out of row order
+    E, e = random_treeplex(rng, max_depth=4)
+    rows = np.concatenate([[0], 1 + rng.permutation(E.rows - 1)])
+    cols = np.concatenate([[0], 1 + rng.permutation(E.cols - 1)])
+    return SparseMatrix(E.rows, E.cols,
+                        [(int(rows[r]), int(cols[c]), v) for r, c, v in E.triplets()]), e
+
+
+def renumbered_game(seed):
+    rng = np.random.default_rng(seed)
+    (E1, e1), (E2, e2) = renumbered_treeplex(rng), renumbered_treeplex(rng)
+    # two cells in three stored, explicit zeros among them
+    values = rng.integers(-1, 2, (E1.cols, E2.cols)).astype(float)
+    values[0, 0] = 0.0
+    A = SparseMatrix(E1.cols, E2.cols, [(i, j, values[i, j]) for i in range(E1.cols)
+                                        for j in range(E2.cols) if (i + j) % 3 != 2])
+    return SequenceFormGame(A=A, E1=E1, E2=E2, e1=e1, e2=e2)
+
+
+K_GAMES = {
+    "kuhn": lambda: to_sequence_form(kuhn_poker())[0],
+    **{f"efg{seed}": lambda seed=seed: to_sequence_form(random_efg(np.random.default_rng(seed)))[0]
+       for seed in range(6)},
+    **{f"ternary{depth}": lambda depth=depth: ternary_game(depth) for depth in (2, 3, 4)},
+    "matrix": lambda: random_matrix_game(6, 9, 4),
+    **{f"renumbered{seed}": lambda seed=seed: renumbered_game(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", K_GAMES)
+def test_build_K_matches_the_stacked_and_sorted_blocks(name, monkeypatch):
+    game = K_GAMES[name]()
+    if name.startswith("renumbered"):
+        assert 0.0 in game.A._data
+    row_major = sparse_module._row_major
+
+    def in_order(ri, ci, vals):
+        # each entry strictly after the one before it: rows ascending, then columns
+        assert np.all((ri[1:] > ri[:-1]) | (ri[1:] == ri[:-1]) & (ci[1:] > ci[:-1]))
+        return row_major(ri, ci, vals)
+
+    monkeypatch.setattr(sparse_module, "_row_major", in_order)
+    K = build_K(game)
+    monkeypatch.undo()
+    assert same_record(K, stacked_K(game))
