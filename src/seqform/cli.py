@@ -139,6 +139,10 @@ class _Utf8Reader:
         return data.decode("utf-8")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
     """Parse a game file, read once; its bytes also go to hasher.update if given."""
     # The cyclic garbage collector would rescan the parse's millions of
@@ -150,11 +154,11 @@ def _load_game_file(path: str, hasher=None) -> SequenceFormGame:
     try:
         with open(path, "rb") as fh:
             try:
-                doc = json.load(_Utf8Reader(fh, hasher))
+                doc = json.load(_Utf8Reader(fh, hasher), parse_constant=_refuse_constant)
             except RecursionError as exc:
                 raise FileFormatError(f"game file nests too deeply: {exc}") from None
             except ValueError as exc:
-                # bad UTF-8, bad JSON, or an integer literal past Python's digit limit
+                # bad UTF-8, bad JSON (NaN too), or an integer past Python's digit limit
                 raise FileFormatError(f"game file is not readable JSON: {exc}") from None
         return SequenceFormGame.from_dict(doc)
     finally:

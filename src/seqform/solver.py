@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InitializationError
+from .errors import DivergenceError, InitializationError
 from .games import expected_value
 from .sparse import SparseMatrix, _dot, _einsum, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
@@ -139,20 +139,17 @@ class SolverState:
     last restart, steps all of them.
 
     __post_init__ copies z, g, v, z_sum and z0, so every construction, a
-    dataclasses.replace copy included, owns the vectors step moves and
-    can be stepped apart from the original. It then builds every view of
-    the state, once: y, p, x and q into z, and views, all that step
-    reads and writes. views holds the scalars lam, lam * rho and rho as
-    0-d arrays, which multiply as a vector operand does with none of a
+    dataclasses.replace copy or a restart, owns the vectors step moves
+    and leaves the state it came from as it was. It then builds every
+    view of the state, once: y, p, x and q into z, and views, all that
+    step reads and writes: the scalars lam, lam * rho and rho as 0-d
+    arrays, which multiply as a vector operand does with none of a
     Python float's dispatch, beside whether rho is 1 and the window
     term's two coefficients; the u half of c over rho and the w half of
     c; the u and w halves of z; and a scratch buffer whose rows are
     T(z), its change t, (lam K^T t^w, 0) and the change rho * t of z,
-    with the parts of them step writes. One rule keeps the views valid:
-    z is only ever written in place, and c, lam and rho change only
-    through dataclasses.replace, which builds fresh views, including the
-    copy's own scratch buffer. g is scaled by rho, so rho changes only
-    where g is rebuilt: solve's fallback replaces rho and then restarts.
+    with the parts of them step writes. step is the only writer in
+    place, so the views stay valid.
     """
 
     K: SparseMatrix
@@ -254,19 +251,19 @@ class SolveReport:
 
 
 def _window(K: SparseMatrix, z0: np.ndarray, rho: float) -> dict:
-    """The fields of an averaging window that starts at z0, which it keeps; the caller sets z to z0."""
-    return dict(g=K.transpose_matvec(z0[K.cols:]) / rho, v=np.zeros(z0.size),
+    """The fields of an averaging window that starts at z0, z = z0 included."""
+    return dict(z=z0, g=K.transpose_matvec(z0[K.cols:]) / rho, v=np.zeros(z0.size),
                 z_sum=np.zeros(z0.size), z0=z0, k=0, E=0.0)
 
 
-def init(game: SequenceFormGame, start=None) -> SolverState:
+def init(game: SequenceFormGame) -> SolverState:
     """Validate the game, estimate the step size, and set up state.
 
     lambda = 1 / ||K||, with ||K|| estimated by spectral_norm from its
     fixed start vector, and rho = RHO. The certificate does not rest on
     lambda ||K|| <= 1: the window check E <= ||v||^2 / 2 certifies each
-    window whatever lambda ||K|| is (see the module docstring). start
-    may be a (y, p, x, q) quadruplet; the default is all zeros.
+    window whatever lambda ||K|| is (see the module docstring). z starts
+    at zero; a restart builds its state as a copy of this one (_restart).
     """
     K = build_K(game)
     est = spectral_norm(K)
@@ -279,22 +276,11 @@ def init(game: SequenceFormGame, start=None) -> SolverState:
     if est.value <= 0.0:
         raise InitializationError("operator norm estimate is not positive")
 
-    shapes = (game.n2, game.l1, game.n1, game.l2)
-    if start is None:
-        parts = [np.zeros(n) for n in shapes]
-    else:
-        parts = []
-        for vec, n, name in zip(start, shapes, ("y", "p", "x", "q")):
-            arr = np.array(vec, dtype=np.float64)
-            if arr.shape != (n,):
-                raise DimensionError(f"start {name} must have length {n}, got shape {arr.shape}")
-            parts.append(arr)
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
-    z0 = np.concatenate(parts)
     return SolverState(
-        K=K, z=z0, c=c, bounds=tuple(accumulate(shapes[:3])),
+        K=K, c=c, bounds=tuple(accumulate((game.n2, game.l1, game.n1))),
         lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0,
-        **_window(K, z0, RHO))
+        **_window(K, np.zeros(c.size), RHO))
 
 
 # overflow surfaces as the typed divergence error below, not a warning
@@ -403,17 +389,13 @@ def _window_check(state: SolverState) -> float:
     return state.E / half
 
 
-def _restart(state: SolverState) -> None:
-    """Restart the averaging in place from the ergodic average.
+def _restart(state: SolverState, rho: float) -> SolverState:
+    """A copy of state whose window, stepped at rho, starts at its ergodic average.
 
-    The window fields are set by the same function init uses, and z is
-    overwritten in place, so the result is the state init would build
-    from that start, without rebuilding K or estimating its norm again,
-    and steps keeps counting.
+    Its window fields come from _window, as init's do; K and its norm
+    are kept, steps keeps counting, and state is left as it was.
     """
-    window = _window(state.K, state.z_sum / state.k, state.rho)
-    state.z[:] = window["z0"]
-    vars(state).update(window)
+    return replace(state, rho=rho, **_window(state.K, state.z_sum / state.k, rho))
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -467,15 +449,14 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             check = _window_check(state)
             if check > 1.0 and state.rho != 1.0:
                 window_checks.append(check)
-                state = replace(state, rho=1.0)
-                _restart(state)
+                state = _restart(state, 1.0)
                 fallback_step = state.steps
                 reference = None
         elif reference is None:
             reference = res
         elif res <= 0.2 * reference:
             window_checks.append(_window_check(state))
-            _restart(state)
+            state = _restart(state, state.rho)
             restarts.append(state.steps)
             reference = res
 

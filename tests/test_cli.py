@@ -204,6 +204,29 @@ def test_numbers_past_python_limits_are_parse_errors(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
+def test_nan_and_infinity_literals_are_parse_errors(tmp_path, capsys, monkeypatch, command):
+    # Python's json reads NaN, Infinity and -Infinity, and json.dumps writes
+    # them; JSON has no such literal, in a vector, a triplet or the labels
+    monkeypatch.chdir(tmp_path)
+    doc = random_matrix_game(3, 2, 5).to_dict()
+    labels = {"sequences1": ["", "a", "b", "c"]}
+    for constant in (float("nan"), float("inf"), float("-inf")):
+        triplets = [list(t) for t in doc["A"]["triplets"]]
+        triplets[0][2] = constant
+        for edited in (dict(doc, e1=[constant]), dict(doc, A=dict(doc["A"], triplets=triplets)),
+                       dict(doc, labels=dict(labels, sequences2=["", constant]))):
+            text = json.dumps(edited)
+            assert "Infinity" in text or "NaN" in text
+            (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+            assert main([command, "bad.json"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and "is not a JSON number" in err
+    # the same file without the literal reads
+    (tmp_path / "good.json").write_text(json.dumps(dict(doc, labels=labels)), encoding="utf-8")
+    assert main(["validate", "good.json"]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
 def test_matrix_too_large_to_allocate_is_parse_error(tmp_path, capsys, monkeypatch, command):
     # an index array of 8 PB exceeds any address space: numpy refuses it at once
     monkeypatch.chdir(tmp_path)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import seqform
-from seqform import (DimensionError, DivergenceError, InitializationError,
-                     SolverConfig, SparseMatrix, duality_gap, ergodic_average,
+from seqform import (DivergenceError, InitializationError, SolverConfig,
+                     SparseMatrix, duality_gap, ergodic_average,
                      expected_value, init, normalize_to_polytope,
                      random_matrix_game, residual, simplex_game, solve, step,
                      to_sequence_form)
@@ -198,14 +198,6 @@ def test_step_past_one_over_norm_is_certified_window_by_window(kuhn, monkeypatch
             assert report.lam * exact_norm(game) > 1.0
             assert all(check <= 1.0 for check in report.window_checks)
             assert abs(report.value - value) <= report.duality_gap + 1e-12
-
-
-def test_init_with_start(trivial_game):
-    state = init(trivial_game, start=([0.5], [0.0], [1.0], [-1.0]))
-    assert np.array_equal(state.z0, [0.5, 0.0, 1.0, -1.0])
-    assert np.array_equal(state.z, state.z0)
-    with pytest.raises(DimensionError):
-        init(trivial_game, start=([0.5, 0.5], [0.0], [1.0], [0.0]))
 
 
 def test_init_requires_converged_norm_estimate(trivial_game, monkeypatch):
@@ -480,7 +472,11 @@ def test_divergence_raises(kuhn, monkeypatch):
 def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game, plain_rho):
     # step checks the sum of z first; finite entries whose sum overflows
     # fall through to the entrywise check and are not a divergence
-    state = init(trivial_game, start=([0.0], [-1.5e308], [0.0], [1e308]))
+    import seqform.solver as solver_module
+
+    state = init(trivial_game)
+    z0 = np.array([0.0, -1.5e308, 0.0, 1e308])
+    state = dataclasses.replace(state, **solver_module._window(state.K, z0, state.rho))
     step(state, trivial_game)
     assert state.z.tolist() == [0.0, 0.0, 1.5e308, 1e308]
     assert sum(state.z.tolist()) == math.inf
@@ -515,15 +511,15 @@ def test_restart_contract(kuhn, monkeypatch):
         calls["steps"] += 1
         return step_fn(state, g)
 
-    def recorded_restart(state):
+    def recorded_restart(state, rho):
         restart_steps.append(calls["steps"])
-        restart(state)
+        return restart(state, rho)
 
     monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
     monkeypatch.setattr(solver_module, "step", counted_step)
     monkeypatch.setattr(solver_module, "_restart", recorded_restart)
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=1))
-    # restarts happen in place: K is built and its norm estimated once
+    # a restart copies the state: K is built and its norm estimated once
     assert report.converged
     assert calls["norm"] == 1
     assert restart_steps and report.iterations == calls["steps"] < 5000
@@ -601,14 +597,17 @@ def test_restart_builds_the_window_init_builds(kuhn):
     state = init(game)
     for _ in range(20):
         step(state, game)
-    K, lam, norm_K = state.K, state.lam, state.norm_K
-    start = ergodic_average(state)
-    solver_module._restart(state)
-    fresh = init(game, start=start)
-    for name in ("z", "z0", "g", "v", "z_sum"):
-        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
-    assert state.k == fresh.k == 0
+    K, lam, norm_K, rho = state.K, state.lam, state.norm_K, state.rho
+    avg = np.concatenate(ergodic_average(state))
+    state = solver_module._restart(state, rho)
+    # each window field as init defines it, from the average as the start
+    assert same_bits(state.z, avg) and same_bits(state.z0, avg)
+    assert same_bits(state.g, K.transpose_matvec(avg[K.cols:]) / rho)
+    for name in ("v", "z_sum"):
+        assert same_bits(getattr(state, name), np.zeros(avg.size)), name
+    assert state.k == 0 and state.E == 0.0
     assert state.K is K and (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
+    assert state.rho == rho == solver_module.RHO
 
 
 def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
@@ -670,8 +669,8 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
         step(state, game)
         concatenate_step(ref, game)
         if k == 250:
-            solver_module._restart(state)
-            solver_module._restart(ref)
+            state = solver_module._restart(state, state.rho)
+            ref = solver_module._restart(ref, ref.rho)
         for name in ("z", "g", "v", "z_sum"):
             assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
     assert (state.k, state.steps) == (ref.k, ref.steps) == (250, 500)
@@ -732,7 +731,7 @@ def test_step_allocates_less_than_one_state_vector():
 
     # copies stepped in turn each match their own run alone
     first, second = dataclasses.replace(state), dataclasses.replace(state)
-    solver_module._restart(second)
+    second = solver_module._restart(second, second.rho)
     alone = [dataclasses.replace(first), dataclasses.replace(second)]
     for copy in alone:
         for _ in range(20):
@@ -743,3 +742,61 @@ def test_step_allocates_less_than_one_state_vector():
     for copy, ref in zip((first, second), alone):
         for name in ("z", "g", "v", "z_sum"):
             assert same_bits(getattr(copy, name), getattr(ref, name)), name
+
+
+def test_the_fallback_opens_a_plain_window(kuhn, monkeypatch):
+    # a state stepped at RHO and restarted at rho = 1 steps as the plain iteration does
+    import seqform.solver as solver_module
+
+    game = kuhn[1]
+    state = init(game)
+    for _ in range(30):
+        step(state, game)
+    assert state.rho == solver_module.RHO != 1.0
+    state = solver_module._restart(state, 1.0)
+    assert state.rho == 1.0 and state.views[0][3]
+    ref = dataclasses.replace(state)
+    for k in range(1, 51):
+        step(state, game)
+        concatenate_step(ref, game)
+        for name in ("z", "g", "v", "z_sum"):
+            assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
+
+    # a solve that falls back estimates the norm once
+    fixed_norm(monkeypatch, exact_norm(game) / 1.3)
+    estimates = []
+    fixed = solver_module.spectral_norm
+
+    def counted_norm(*args, **kwargs):
+        estimates.append(fixed(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300))
+    assert report.fallback_step == 9
+    assert len(estimates) == 1
+
+
+@pytest.mark.parametrize("to_plain", [False, True])
+def test_a_restart_leaves_the_state_it_came_from_as_it_was(kuhn, to_plain):
+    import seqform.solver as solver_module
+
+    game = kuhn[1]
+    state = init(game)
+    for _ in range(7):
+        step(state, game)
+    names = ("z", "g", "v", "z_sum", "z0")
+    before = {name: getattr(state, name).copy() for name in names}
+    counters = (state.k, state.E, state.steps)
+    restarted = solver_module._restart(state, 1.0 if to_plain else state.rho)
+    for _ in range(5):
+        step(restarted, game)
+    assert restarted.steps == 12 and restarted.k == 5
+    for name in names:
+        assert same_bits(getattr(state, name), before[name]), name
+    assert (state.k, state.E, state.steps) == counters
+    # the vectors step moves and the scratch buffer are the restart's own;
+    # only K and the constant c are shared, and neither is ever written
+    moved = [getattr(restarted, name) for name in names] + [restarted.views[5].base]
+    kept = [getattr(state, name) for name in names] + [state.views[5].base]
+    assert not any(np.shares_memory(a, b) for a in moved for b in kept)
