@@ -5,7 +5,8 @@ matrix encodes a tree of nested simplexes: row 0 pins the root sequence
 to probability one, and every later row moves the mass of a parent
 sequence onto the sequences extending it at one information set. The
 one-row encoding E = (1, ..., 1), e = (1) used by plain matrix games is
-recognized and handled as a dedicated simplex mode.
+recognized as a simplex: one information set hanging off a virtual root
+sequence, numbered past the last real one, that carries probability one.
 
 One decoder reads that tree for both validation and the index, with
 whole-array operations on E's stored arrays: it counts the -1 and +1
@@ -14,7 +15,8 @@ parent row, and finds every row's depth by pointer jumping, so
 validation and the index build take O(nnz + rows * log depth) time. A
 game decodes each player's tree once and keeps the result for both.
 Best response and normalization sweep the index one depth level at a
-time with whole-array operations.
+time with whole-array operations, the same sweep for a simplex and a
+tree.
 
 Validation reports violations as data rather than raising, so tools can
 list everything wrong with a file at once.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -206,8 +207,11 @@ class TreeplexIndex:
     """Preprocessed view of one player's constraint system.
 
     Information set i owns the sequences in children[i] and hangs off
-    parent_seq[i]; in simplex mode there is a single information set
-    with no parent. topo orders information sets parents first.
+    parent_seq[i]; a simplex has a single information set, whose
+    parent_seq entry is None. topo orders information sets parents first.
+    The level sweeps add one sequence past the last, num_sequences: a
+    simplex's set hangs off it as a virtual root of mass one, and a tree
+    leaves it at zero.
     """
 
     num_sequences: int
@@ -228,21 +232,20 @@ class TreeplexIndex:
         sequence lies in its own level or a deeper one, so a sweep can
         treat each level with whole-array operations.
         """
-        seq_depth = [0] * self.num_sequences
+        parent_seq = (self.num_sequences,) if self.simplex else self.parent_seq
+        seq_depth = [0] * (self.num_sequences + 1)
         depth = [0] * self.num_infosets
-        if not self.simplex:
-            for i in self.topo:
-                depth[i] = d = seq_depth[self.parent_seq[i]] + 1
-                for c in self.children[i]:
-                    seq_depth[c] = d
+        for i in self.topo:
+            depth[i] = d = seq_depth[parent_seq[i]] + 1
+            for c in self.children[i]:
+                seq_depth[c] = d
         order = sorted(self.topo, key=depth.__getitem__)
         levels = []
         for _, group in itertools.groupby(order, key=depth.__getitem__):
             group = list(group)
             sizes = np.array([len(self.children[i]) for i in group], dtype=np.intp)
             levels.append(TreeplexLevel(
-                parents=None if self.simplex else np.array(
-                    [self.parent_seq[i] for i in group], dtype=np.intp),
+                parents=np.array([parent_seq[i] for i in group], dtype=np.intp),
                 seqs=np.array([c for i in group for c in self.children[i]], dtype=np.intp),
                 starts=np.cumsum(sizes) - sizes, sizes=sizes,
                 owner=np.repeat(np.arange(sizes.size), sizes)))
@@ -255,10 +258,10 @@ class TreeplexLevel(NamedTuple):
     seqs lists the sets' sequences set after set, each set's block
     starting at starts and sizes long; owner gives, for every entry of
     seqs, the position of its set in the level. parents holds each
-    set's parent sequence, and is None in simplex mode.
+    set's parent sequence, the virtual root num_sequences for a simplex.
     """
 
-    parents: Optional[np.ndarray]
+    parents: np.ndarray
     seqs: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
@@ -414,7 +417,8 @@ def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestRes
             f"gradient must have length {index.num_sequences}, got shape {g.shape}"
         )
     extreme = np.maximum if sense == "max" else np.minimum
-    val = g.copy()
+    n = index.num_sequences
+    val = np.append(g, 0.0)
     choices = []
     for level in reversed(index.levels):
         vals = val[level.seqs]
@@ -424,52 +428,39 @@ def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestRes
         first = np.minimum.reduceat(np.where(hit, np.arange(vals.size), vals.size), level.starts)
         choice = level.seqs[first]
         choices.append(choice)
-        if level.parents is not None:
-            np.add.at(val, level.parents, val[choice])
+        np.add.at(val, level.parents, val[choice])
 
-    plan = np.zeros(index.num_sequences)
-    if index.simplex:
-        plan[choices[0]] = 1.0
-    else:
-        plan[0] = 1.0
-        for level, choice in zip(index.levels, reversed(choices)):
-            plan[choice] = plan[level.parents]
-    value = float(np.dot(g, plan))
-    return BestResponse(value, plan)
+    plan = np.zeros(n + 1)
+    plan[n if index.simplex else 0] = 1.0
+    for level, choice in zip(index.levels, reversed(choices)):
+        plan[choice] = plan[level.parents]
+    plan = plan[:n].copy()
+    return BestResponse(float(np.dot(g, plan)), plan)
 
 
 def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
     """Project a nonnegative-clipped vector back onto the polytope.
 
-    Clips negatives, pins the root to one, and rescales each information
-    set's sequences to carry exactly their parent's mass, one depth level
-    at a time from the root down. An information set whose entries are
-    all zero splits its parent mass uniformly. One whose positive total
-    is too small to divide that mass by, or too large to be a double,
-    first divides its entries by their largest, then gives each result
-    its fraction of their sum times the mass; if the largest is
-    infinite, the mass is split equally over the infinite entries. The
-    result is always feasible, and feasible inputs pass through
-    unchanged up to roundoff.
+    Clips negatives, pins the root (a simplex's virtual root) to one, and
+    rescales each information set's sequences to carry exactly their
+    parent's mass, one depth level at a time from the root down. An
+    information set whose entries are all zero splits its parent mass
+    uniformly. One whose positive total is too small to divide that mass
+    by, or too large to be a double, first divides its entries by their
+    largest, then gives each result its fraction of their sum times the
+    mass; if the largest is infinite, the mass is split equally over the
+    infinite entries. The result is always feasible, and feasible inputs
+    pass through unchanged up to roundoff.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (index.num_sequences,):
         raise DimensionError(
             f"vector must have length {index.num_sequences}, got shape {z.shape}"
         )
+    n = index.num_sequences
     w = np.maximum(z, 0.0)
-    if index.simplex:
-        with np.errstate(over="ignore"):
-            s = float(w.sum())
-        if math.isinf(s):
-            top = w.max()
-            w = (w == top).astype(np.float64) if math.isinf(top) else w / top
-            s = float(w.sum())
-        if s > 0.0:
-            return w / s
-        return np.full(index.num_sequences, 1.0 / index.num_sequences)
-    out = np.zeros(index.num_sequences)
-    out[0] = 1.0
+    out = np.zeros(n + 1)
+    out[n if index.simplex else 0] = 1.0
     # a total past the largest double, or a positive one too small to divide
     # the mass by, overflows; a zero entry times an infinite scale is NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -490,7 +481,7 @@ def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:
                 share[on] = rel / np.bincount(owner, weights=rel, minlength=odd.size)[owner] * mass[owner]
             out[level.seqs] = np.where(spread[level.owner], share,
                                        (mass / level.sizes)[level.owner])
-    return out
+    return out[:n].copy()
 
 
 def _through_K(game: SequenceFormGame, v, transpose: bool) -> tuple[np.ndarray, np.ndarray]:

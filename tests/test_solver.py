@@ -45,12 +45,17 @@ def quad(state):
 
 
 def plain_iteration(game, epsilon):
-    """The iteration without restarts, run until the certificate is below epsilon."""
+    """The iteration without restarts, run until the certificate is below epsilon.
+
+    No certificate within 10,000 steps fails the test, where a window check
+    that never holds would otherwise loop forever.
+    """
     state = init(game)
-    while True:
+    for _ in range(10_000):
         step(state, game)
         if residual(state) < epsilon:
             return state
+    pytest.fail(f"no certificate below {epsilon} within 10,000 steps")
 
 
 def averaged_plans(state, game):
@@ -157,8 +162,9 @@ def test_failed_window_check_is_never_reported_converged(kuhn, monkeypatch):
     fixed_norm(monkeypatch, exact_norm(game) / 1.3)
     state = init(game)
     failed = []
+    # a state that never diverges leaves the loop and fails the raises check
     with pytest.raises(DivergenceError) as err:
-        while True:
+        for _ in range(3000):
             step(state, game)
             # the solver's inner product, so that E level with ||v||^2 / 2 reads alike
             half = 0.5 * float(np.einsum("i,i->", state.v, state.v))

@@ -451,6 +451,8 @@ def test_best_response_simplex():
     br = best_response(index, [1.0, 3.0, 2.0], "min")
     assert br.value == 1.0
     assert np.array_equal(br.plan, [1.0, 0.0, 0.0])
+    # the sweep's extra root slot is not part of the plan, which owns its memory
+    assert br.plan.base is None
 
 
 def test_best_response_tie_takes_lowest_index():
@@ -506,6 +508,7 @@ def test_normalize_simplex():
     assert np.array_equal(normalize_to_polytope(index, [0.2, 0.2]), [0.5, 0.5])
     assert np.array_equal(normalize_to_polytope(index, [-1.0, 3.0]), [0.0, 1.0])
     assert np.array_equal(normalize_to_polytope(index, [0.0, 0.0]), [0.5, 0.5])
+    assert normalize_to_polytope(index, [0.2, 0.2]).base is None
 
 
 def test_normalize_tree():
@@ -607,17 +610,17 @@ def _reference_best_response(index, g, sense):
 
 
 def _reference_normalize(index, z):
-    # the set-by-set sweep that the level-by-level normalize_to_polytope replaced
+    # the set-by-set sweep that the level-by-level normalize_to_polytope replaced;
+    # a simplex is its one set, carrying mass 1
     w = np.maximum(z, 0.0)
-    if index.simplex:
-        s = float(w.sum())
-        return w / s if s > 0.0 else np.full(index.num_sequences, 1.0 / index.num_sequences)
     out = np.zeros(index.num_sequences)
     out[0] = 1.0
     for i in index.topo:
-        mass = out[index.parent_seq[i]]
+        mass = 1.0 if index.simplex else out[index.parent_seq[i]]
         cs = list(index.children[i])
-        s = float(w[cs].sum())
+        s = 0.0
+        for c in cs:
+            s += w[c]  # a running sum, in the order bincount adds
         for c in cs:
             out[c] = w[c] * (mass / s) if s > 0.0 else mass / len(cs)
     return out
@@ -633,18 +636,21 @@ def test_sweeps_match_reference(seed):
     cols = np.concatenate([[0], 1 + rng.permutation(E.cols - 1)])
     if E.rows > 1:
         E = SparseMatrix(E.rows, E.cols, [(int(rows[r]), int(cols[c]), v) for r, c, v in E.triplets()])
-    index = build_treeplex_index(E, e)
-    n = index.num_sequences
-    # integer gradients tie often, and shared parent sequences sum in sweep order
-    for g in (rng.standard_normal(n), rng.integers(-2, 3, n).astype(float)):
-        for sense in ("max", "min"):
-            br = best_response(index, g, sense)
-            value, plan = _reference_best_response(index, g, sense)
-            assert br.value == value
-            assert np.array_equal(br.plan, plan)
-    z = rng.standard_normal(n)
-    z[rng.random(n) < 0.3] = 0.0  # some sets with no positive entry split their mass evenly
-    assert np.array_equal(normalize_to_polytope(index, z), _reference_normalize(index, z))
+    # a simplex this wide sums its set past numpy's pairwise summation's first block
+    simplexes = [SparseMatrix(1, n, [(0, j, 1.0) for j in range(n)]) for n in (200, 1000)]
+    for E, e in [(E, e)] + [(S, np.ones(1)) for S in simplexes]:
+        index = build_treeplex_index(E, e)
+        n = index.num_sequences
+        # integer gradients tie often, and shared parent sequences sum in sweep order
+        for g in (rng.standard_normal(n), rng.integers(-2, 3, n).astype(float)):
+            for sense in ("max", "min"):
+                br = best_response(index, g, sense)
+                value, plan = _reference_best_response(index, g, sense)
+                assert br.value == value
+                assert np.array_equal(br.plan, plan)
+        z = rng.standard_normal(n)
+        z[rng.random(n) < 0.3] = 0.0  # some sets with no positive entry split their mass evenly
+        assert np.array_equal(normalize_to_polytope(index, z), _reference_normalize(index, z))
 
 
 def test_feasibility_residuals_exact(kuhn):
