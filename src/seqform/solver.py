@@ -57,11 +57,17 @@ the certificate has fallen to a fifth of its reference, PDLP's
 sufficient-decay factor of 0.2 (Applegate et al., arXiv 2106.04756),
 the ergodic average of the steps since the last restart becomes the new
 start point, and v, E, the running sum and k start again from zero.
-Each window between restarts is a fresh run of the same method, so the
-certificate, the averages and everything computed from them cover the
-steps since the last restart. Sequence-form zero-sum games are linear
-programs, on which restarted averaging converges linearly. The plain
-iteration without restarts is a loop over init, step and residual.
+The average's plans y and x lie off the realization-plan polytopes,
+since a step clips them only at zero and holds E's rows by the
+multipliers; the start point takes them pushed onto the polytopes, as
+the reported strategies are, and keeps the average's multipliers p and
+q. The window argument above holds for any start z0, this one
+included. Each window between restarts is a fresh run of the same
+method, so the certificate, the averages and everything computed from
+them cover the steps since the last restart. Sequence-form zero-sum
+games are linear programs, on which restarted averaging converges
+linearly. The plain iteration without restarts is a loop over init,
+step and residual.
 """
 
 from __future__ import annotations
@@ -263,7 +269,9 @@ def init(game: SequenceFormGame) -> SolverState:
     fixed start vector, and rho = RHO. The certificate does not rest on
     lambda ||K|| <= 1: the window check E <= ||v||^2 / 2 certifies each
     window whatever lambda ||K|| is (see the module docstring). z starts
-    at zero; a restart builds its state as a copy of this one (_restart).
+    at zero; a restart builds its state as a copy of this one, starting
+    at the window average with its plans pushed onto the polytopes
+    (_restart).
     """
     K = build_K(game)
     est = spectral_norm(K)
@@ -389,13 +397,21 @@ def _window_check(state: SolverState) -> float:
     return state.E / half
 
 
-def _restart(state: SolverState, rho: float) -> SolverState:
+def _restart(state: SolverState, game: SequenceFormGame, rho: float) -> SolverState:
     """A copy of state whose window, stepped at rho, starts at its ergodic average.
 
-    Its window fields come from _window, as init's do; K and its norm
-    are kept, steps keeps counting, and state is left as it was.
+    The start is the average with its plans y and x pushed onto the
+    strategy polytopes (normalize_to_polytope) and its multipliers p and
+    q as they are; the window argument, and so the certificate, holds
+    from any start. Its window fields come from _window, as init's do; K
+    and its norm are kept, steps keeps counting, and state is left as it
+    was.
     """
-    return replace(state, rho=rho, **_window(state.K, state.z_sum / state.k, rho))
+    z0 = state.z_sum / state.k
+    y, _, x, _ = state.blocks(z0)
+    y[:] = normalize_to_polytope(game.index2, y)
+    x[:] = normalize_to_polytope(game.index1, x)
+    return replace(state, rho=rho, **_window(state.K, z0, rho))
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -449,14 +465,14 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             check = _window_check(state)
             if check > 1.0 and state.rho != 1.0:
                 window_checks.append(check)
-                state = _restart(state, 1.0)
+                state = _restart(state, game, 1.0)
                 fallback_step = state.steps
                 reference = None
         elif reference is None:
             reference = res
         elif res <= 0.2 * reference:
             window_checks.append(_window_check(state))
-            state = _restart(state, state.rho)
+            state = _restart(state, game, state.rho)
             restarts.append(state.steps)
             reference = res
 

@@ -504,7 +504,7 @@ def test_summary_line_counts_restarts(tmp_path, capsys):
             "--report", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
     assert main(args) == 0
     summary = capsys.readouterr().out.strip()
-    assert summary.startswith("converged iterations=264 ")
+    assert summary.startswith("converged iterations=255 ")
     assert summary.endswith(" restarts=5")
     assert main([*args, "--max-iters", "24"]) == 3
     # the rule fires on step 24, but a capped run stops before restarting

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from seqform import SolverConfig, kuhn_poker, solve, to_sequence_form
 from seqform.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +50,18 @@ def test_readme_command_lines_run_as_written(tmp_path, monkeypatch):
     assert solves
     for line in solves:
         assert run_seqform(line) == 0, line
+
+
+def test_readme_kuhn_counts_are_solves():
+    # the iteration count and restart steps quoted for Kuhn poker at 1e-4
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    quoted = re.search(r"Kuhn poker reaches a 1e-4 certificate in ([\d,]+) iterations, "
+                       r"with restarts at steps ([\d, ]+) and (\d+),", text)
+    gate = re.search(r"the run converges in ([\d,]+) iterations", text)
+    assert quoted and gate
+    report = solve(to_sequence_form(kuhn_poker())[0], SolverConfig(epsilon=1e-4))
+    assert report.converged
+    iterations = int(quoted.group(1).replace(",", ""))
+    assert iterations == int(gate.group(1).replace(",", "")) == report.iterations
+    steps = [int(s) for s in quoted.group(2).split(",")] + [int(quoted.group(3))]
+    assert steps == report.restarts

@@ -13,9 +13,9 @@ import pytest
 import seqform
 from seqform import (DivergenceError, InitializationError, SolverConfig,
                      SparseMatrix, duality_gap, ergodic_average,
-                     expected_value, init, normalize_to_polytope,
-                     random_matrix_game, residual, simplex_game, solve, step,
-                     to_sequence_form)
+                     expected_value, feasibility_residuals, init,
+                     normalize_to_polytope, random_matrix_game, residual,
+                     simplex_game, solve, step, to_sequence_form)
 from seqform.oracle import dense_spectral_norm
 from seqform.sparse import SpectralEstimate, build_K, spectral_norm
 from conftest import fixed_norm, lp_value, random_efg, ternary_game
@@ -437,10 +437,8 @@ def test_solve_is_deterministic():
 def test_trace_schedule(kuhn):
     _, game, _ = kuhn
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    # the run stops at 264, which adds a final row after the scheduled ones;
-    # it stopped at 398 before the relaxed step, and at 647 before the
-    # restart factor moved from 1/2 to 1/5
-    assert [t.iter for t in report.trace] == [100, 200, 264]
+    # the run stops at 255, which adds a final row after the scheduled ones
+    assert [t.iter for t in report.trace] == [100, 200, 255]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert [t.iter for t in report.trace] == [7, 10]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10))
@@ -517,9 +515,9 @@ def test_restart_contract(kuhn, monkeypatch):
         calls["steps"] += 1
         return step_fn(state, g)
 
-    def recorded_restart(state, rho):
+    def recorded_restart(state, g, rho):
         restart_steps.append(calls["steps"])
-        return restart(state, rho)
+        return restart(state, g, rho)
 
     monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
     monkeypatch.setattr(solver_module, "step", counted_step)
@@ -529,7 +527,7 @@ def test_restart_contract(kuhn, monkeypatch):
     assert report.converged
     assert calls["norm"] == 1
     assert restart_steps and report.iterations == calls["steps"] < 5000
-    assert report.restarts == restart_steps == [24, 76, 131, 165, 214]
+    assert report.restarts == restart_steps == [24, 75, 132, 160, 206]
     assert [t.iter for t in report.trace] == list(range(1, report.iterations + 1))
 
     # a cap on a step where the rule fires stops before restarting
@@ -590,7 +588,7 @@ def test_each_report_point_is_evaluated_once(kuhn, monkeypatch):
     assert calls == [report.iterations] and report.trace == []
     calls.clear()
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    assert calls == [100, 200, 264] == [t.iter for t in report.trace]
+    assert calls == [100, 200, 255] == [t.iter for t in report.trace]
     calls.clear()
     solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert calls == [7, 10]
@@ -604,16 +602,38 @@ def test_restart_builds_the_window_init_builds(kuhn):
     for _ in range(20):
         step(state, game)
     K, lam, norm_K, rho = state.K, state.lam, state.norm_K, state.rho
-    avg = np.concatenate(ergodic_average(state))
-    state = solver_module._restart(state, rho)
-    # each window field as init defines it, from the average as the start
-    assert same_bits(state.z, avg) and same_bits(state.z0, avg)
-    assert same_bits(state.g, K.transpose_matvec(avg[K.cols:]) / rho)
+    avg = ergodic_average(state)
+    start = np.concatenate([normalize_to_polytope(game.index2, avg.y), avg.p,
+                            normalize_to_polytope(game.index1, avg.x), avg.q])
+    state = solver_module._restart(state, game, rho)
+    # each window field as init defines it, from the average with its plans
+    # on the polytopes and its multipliers as they were as the start
+    assert same_bits(state.z, start) and same_bits(state.z0, start)
+    assert same_bits(state.g, K.transpose_matvec(start[K.cols:]) / rho)
     for name in ("v", "z_sum"):
-        assert same_bits(getattr(state, name), np.zeros(avg.size)), name
+        assert same_bits(getattr(state, name), np.zeros(start.size)), name
     assert state.k == 0 and state.E == 0.0
     assert state.K is K and (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
     assert state.rho == rho == solver_module.RHO
+
+
+@pytest.mark.parametrize("which", ["kuhn", "ternary"])
+def test_a_restart_starts_its_window_with_plans_on_the_polytopes(kuhn, which):
+    # the ergodic average's plans are off the polytopes; the restart's are on them
+    import seqform.solver as solver_module
+
+    game = kuhn[1] if which == "kuhn" else ternary_game(4)
+    state = init(game)
+    for _ in range(20):
+        step(state, game)
+    avg = ergodic_average(state)
+    off = feasibility_residuals(game, avg.x, avg.y)
+    assert max(off.feas_x, off.feas_y) > 1e-6
+    for rho in (state.rho, 1.0):
+        restarted = solver_module._restart(state, game, rho)
+        feas = feasibility_residuals(game, restarted.x, restarted.y)
+        assert max(feas.feas_x, feas.feas_y) <= 1e-12
+        assert min(feas.min_x, feas.min_y) >= 0.0
 
 
 def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
@@ -675,8 +695,8 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
         step(state, game)
         concatenate_step(ref, game)
         if k == 250:
-            state = solver_module._restart(state, state.rho)
-            ref = solver_module._restart(ref, ref.rho)
+            state = solver_module._restart(state, game, state.rho)
+            ref = solver_module._restart(ref, game, ref.rho)
         for name in ("z", "g", "v", "z_sum"):
             assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
     assert (state.k, state.steps) == (ref.k, ref.steps) == (250, 500)
@@ -737,7 +757,7 @@ def test_step_allocates_less_than_one_state_vector():
 
     # copies stepped in turn each match their own run alone
     first, second = dataclasses.replace(state), dataclasses.replace(state)
-    second = solver_module._restart(second, second.rho)
+    second = solver_module._restart(second, game, second.rho)
     alone = [dataclasses.replace(first), dataclasses.replace(second)]
     for copy in alone:
         for _ in range(20):
@@ -759,7 +779,7 @@ def test_the_fallback_opens_a_plain_window(kuhn, monkeypatch):
     for _ in range(30):
         step(state, game)
     assert state.rho == solver_module.RHO != 1.0
-    state = solver_module._restart(state, 1.0)
+    state = solver_module._restart(state, game, 1.0)
     assert state.rho == 1.0 and state.views[0][3]
     ref = dataclasses.replace(state)
     for k in range(1, 51):
@@ -794,7 +814,7 @@ def test_a_restart_leaves_the_state_it_came_from_as_it_was(kuhn, to_plain):
     names = ("z", "g", "v", "z_sum", "z0")
     before = {name: getattr(state, name).copy() for name in names}
     counters = (state.k, state.E, state.steps)
-    restarted = solver_module._restart(state, 1.0 if to_plain else state.rho)
+    restarted = solver_module._restart(state, game, 1.0 if to_plain else state.rho)
     for _ in range(5):
         step(restarted, game)
     assert restarted.steps == 12 and restarted.k == 5
