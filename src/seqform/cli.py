@@ -58,15 +58,7 @@ def _is_scalar(v) -> bool:
 
 
 def _scalar_json(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return json.dumps(v)
+    return _fmt_float(v) if isinstance(v, float) else json.dumps(v)
 
 
 def render_json(obj, indent: int = 0) -> str:

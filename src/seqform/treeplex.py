@@ -14,9 +14,10 @@ entries of each row and the +1 rows of each column, finds each row's
 parent row, and finds every row's depth by pointer jumping, so
 validation and the index build take O(nnz + rows * log depth) time. A
 game decodes each player's tree once and keeps the result for both.
-Best response and normalization sweep the index one depth level at a
-time with whole-array operations, the same sweep for a simplex and a
-tree.
+The decoder also cuts the sets, sorted by depth, into the index's
+levels, a simplex's one set a level under its virtual root. Best
+response and normalization sweep those levels with whole-array
+operations, the same sweep for a simplex and a tree.
 
 Validation reports violations as data rather than raising, so tools can
 list everything wrong with a file at once.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -211,7 +212,10 @@ class TreeplexIndex:
     parent_seq entry is None. topo orders information sets parents first.
     The level sweeps add one sequence past the last, num_sequences: a
     simplex's set hangs off it as a virtual root of mass one, and a tree
-    leaves it at zero.
+    leaves it at zero. levels, built by the decoder, groups the sets by
+    depth, shallowest first, each level in topo order; no set's parent
+    sequence lies in its own level or a deeper one, so a sweep treats
+    each level with whole-array operations.
     """
 
     num_sequences: int
@@ -219,37 +223,11 @@ class TreeplexIndex:
     parent_seq: tuple
     children: tuple
     topo: tuple
+    levels: tuple["TreeplexLevel", ...] = field(compare=False, repr=False)
 
     @property
     def num_infosets(self) -> int:
         return len(self.children)
-
-    @functools.cached_property
-    def levels(self) -> tuple["TreeplexLevel", ...]:
-        """The information sets grouped by depth, shallowest first.
-
-        Within a level the sets keep their topo order. No set's parent
-        sequence lies in its own level or a deeper one, so a sweep can
-        treat each level with whole-array operations.
-        """
-        parent_seq = (self.num_sequences,) if self.simplex else self.parent_seq
-        seq_depth = [0] * (self.num_sequences + 1)
-        depth = [0] * self.num_infosets
-        for i in self.topo:
-            depth[i] = d = seq_depth[parent_seq[i]] + 1
-            for c in self.children[i]:
-                seq_depth[c] = d
-        order = sorted(self.topo, key=depth.__getitem__)
-        levels = []
-        for _, group in itertools.groupby(order, key=depth.__getitem__):
-            group = list(group)
-            sizes = np.array([len(self.children[i]) for i in group], dtype=np.intp)
-            levels.append(TreeplexLevel(
-                parents=np.array([parent_seq[i] for i in group], dtype=np.intp),
-                seqs=np.array([c for i in group for c in self.children[i]], dtype=np.intp),
-                starts=np.cumsum(sizes) - sizes, sizes=sizes,
-                owner=np.repeat(np.arange(sizes.size), sizes)))
-        return tuple(levels)
 
 
 class TreeplexLevel(NamedTuple):
@@ -286,10 +264,11 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
     Masks classify the entries; bincounts count each row's -1 and +1
     entries and each column's +1 rows; one gather finds every row's
     parent row; pointer jumping finds every row's depth, and whether it
-    reaches row 0, in ceil(log2 depth) rounds. With the stable sort of
-    the depths into topo, that is O(nnz + rows * log depth) time. Only
-    the rows that do not reach row 0 are walked one by one, to name
-    them: their parent chains never pass through a row that does.
+    reaches row 0, in ceil(log2 depth) rounds. Stable sorts by depth
+    order the sets into topo and their +1 entries into the levels. That
+    is O(nnz + rows * log depth) time besides the two sorts. Only the
+    rows that do not reach row 0 are walked one by one, to name them:
+    their parent chains never pass through a row that does.
 
     Returns the violations, named after mat and vec, and the index, which
     is None whenever a violation was found.
@@ -319,7 +298,8 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
     if E.rows == 1 and num_plus[0] == E.cols:
         return out, None if out else TreeplexIndex(
             num_sequences=E.cols, simplex=True, parent_seq=(None,),
-            children=(tuple(plus_cols.tolist()),), topo=(0,))
+            children=(tuple(plus_cols.tolist()),), topo=(0,),
+            levels=_levels(np.array([E.cols]), plus_cols, num_plus, np.ones(1, dtype=np.intp)))
 
     if num_neg[0] or num_plus[0] != 1 or plus_cols[0] != 0:
         out.append(Violation(mat, "row 0", "root row must contain a single +1 in column 0"))
@@ -371,10 +351,29 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
         return out, None
     pluses = plus_cols.tolist()
     ends = list(itertools.accumulate(num_plus.tolist()))
+    topo = depth[1:].argsort(kind="stable")
+    # row 0's +1 entry comes first; sorted stably by their row's depth, the
+    # other rows' +1 entries list each level's sets' sequences in topo order
+    seqs = plus_cols[1:][depth[plus_rows[1:]].argsort(kind="stable")]
     return out, TreeplexIndex(
         num_sequences=E.cols, simplex=False, parent_seq=tuple(parent_seq.tolist()),
         children=tuple(tuple(pluses[a:b]) for a, b in zip(ends, ends[1:])),
-        topo=tuple(depth[1:].argsort(kind="stable").tolist()))
+        topo=tuple(topo.tolist()),
+        levels=_levels(parent_seq[topo], seqs, num_plus[1:][topo], np.bincount(depth[1:])[1:]))
+
+
+def _levels(parents, seqs, sizes, counts) -> tuple[TreeplexLevel, ...]:
+    """Cut the information sets, sorted by depth, into one TreeplexLevel a depth.
+
+    parents and sizes hold each set's parent sequence and number of
+    sequences, seqs the sets' sequences set after set, and counts the
+    number of sets at each depth.
+    """
+    cuts = np.cumsum(counts)[:-1]
+    return tuple(TreeplexLevel(p, s, np.cumsum(z) - z, z, np.repeat(np.arange(z.size), z))
+                 for p, s, z in zip(np.split(parents.astype(np.intp), cuts),
+                                    np.split(seqs.astype(np.intp), np.cumsum(sizes)[cuts - 1]),
+                                    np.split(sizes, cuts)))
 
 
 def validate_sequence_form(game: SequenceFormGame) -> list[Violation]:

@@ -1,6 +1,7 @@
 """Strategy polytopes: validation, indexing, best response, normalization."""
 
 import dataclasses
+import itertools
 import time
 import warnings
 
@@ -16,6 +17,7 @@ from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
                      normalize_to_polytope, random_matrix_game, simplex_game,
                      simplex_gap, validate_sequence_form)
 from seqform.oracle import embed_pure_strategy
+from seqform.treeplex import TreeplexLevel
 from conftest import random_treeplex, ternary_game
 
 
@@ -104,7 +106,7 @@ def test_simplex_index():
 def test_index_fields():
     # the index describes the tree alone: nothing names its player
     assert [f.name for f in dataclasses.fields(TreeplexIndex)] == [
-        "num_sequences", "simplex", "parent_seq", "children", "topo"]
+        "num_sequences", "simplex", "parent_seq", "children", "topo", "levels"]
 
 
 def test_two_level_index():
@@ -267,8 +269,8 @@ def _ref_build_treeplex_index(E, e):
         raise StructureError("; ".join(str(v) for v in viols))
     n = E.cols
     if _ref_is_simplex_row(E):
-        return TreeplexIndex(num_sequences=n, simplex=True, parent_seq=(None,),
-                             children=(tuple(range(n)),), topo=(0,))
+        return _ref_index(num_sequences=n, simplex=True, parent_seq=(None,),
+                          children=(tuple(range(n)),), topo=(0,))
     entries = _ref_nonzero_triplets(E)
     num_infosets = E.rows - 1
     parent_seq = [0] * num_infosets
@@ -300,8 +302,41 @@ def _ref_build_treeplex_index(E, e):
     for r in range(1, E.rows):
         row_depth(r)
     topo = tuple(sorted(range(num_infosets), key=lambda i: (depth[i + 1], i)))
-    return TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
-                         children=tuple(tuple(cs) for cs in children), topo=topo)
+    return _ref_index(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
+                      children=tuple(tuple(cs) for cs in children), topo=topo)
+
+
+def _ref_index(num_sequences, simplex, parent_seq, children, topo):
+    """The TreeplexIndex of these fields, its levels found by a Python walk of the sets.
+
+    The walk gives each set the depth of its parent sequence plus one,
+    in topo order, then groups the sets by depth.
+    """
+    parents = (num_sequences,) if simplex else parent_seq
+    seq_depth = [0] * (num_sequences + 1)
+    depth = [0] * len(children)
+    for i in topo:
+        depth[i] = d = seq_depth[parents[i]] + 1
+        for c in children[i]:
+            seq_depth[c] = d
+    levels = []
+    for _, group in itertools.groupby(sorted(topo, key=depth.__getitem__), key=depth.__getitem__):
+        group = list(group)
+        sizes = np.array([len(children[i]) for i in group], dtype=np.intp)
+        levels.append(TreeplexLevel(
+            parents=np.array([parents[i] for i in group], dtype=np.intp),
+            seqs=np.array([c for i in group for c in children[i]], dtype=np.intp),
+            starts=np.cumsum(sizes) - sizes, sizes=sizes,
+            owner=np.repeat(np.arange(sizes.size), sizes)))
+    return TreeplexIndex(num_sequences=num_sequences, simplex=simplex, parent_seq=parent_seq,
+                         children=children, topo=topo, levels=tuple(levels))
+
+
+def _assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for level, ref in zip(got, want):
+        for a, b in zip(level, ref):
+            assert a.dtype == np.intp and np.array_equal(a, b)
 
 
 def _corrupt(rng, E, e):
@@ -347,7 +382,20 @@ def test_decoder_matches_reference(seed, corruptions):
             build_treeplex_index(E, e)
         assert str(err.value) == str(exc)
         return
-    assert build_treeplex_index(E, e) == want
+    index = build_treeplex_index(E, e)
+    assert index == want
+    _assert_same_levels(index.levels, want.levels)
+
+
+def test_decoder_levels_match_the_reference_walk(kuhn):
+    _, game, _ = kuhn
+    simplex = SparseMatrix(1, 4, [(0, j, 1.0) for j in range(4)])
+    t4 = ternary_game(4)
+    for E, e in [(simplex, np.ones(1)), (game.E1, game.e1), (game.E2, game.e2), (t4.E1, t4.e1)]:
+        _assert_same_levels(build_treeplex_index(E, e).levels, _ref_build_treeplex_index(E, e).levels)
+    # a simplex is one level, its set hanging off the virtual root, sequence 4
+    (level,) = build_treeplex_index(simplex, np.ones(1)).levels
+    assert [a.tolist() for a in level] == [[4], [0, 1, 2, 3], [0], [4], [0, 0, 0, 0]]
 
 
 def test_validation_and_index_run_in_linear_time():
@@ -402,10 +450,12 @@ def test_chain_of_depth_2_to_the_15_decodes_to_the_reference_index():
     start = time.perf_counter()
     index = build_treeplex_index(E, e)
     elapsed = time.perf_counter() - start
-    assert index == TreeplexIndex(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
-                                  children=tuple(children),
-                                  topo=tuple(r - 1 for r in rows[1:]))
-    # the whole-array decode takes tens of ms here
+    want = _ref_index(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
+                      children=tuple(children), topo=tuple(r - 1 for r in rows[1:]))
+    assert index == want
+    _assert_same_levels(index.levels, want.levels)
+    # the whole-array decode, which cuts 32,767 one-set levels, takes a few
+    # tenths of a second here
     assert elapsed < 2.0
 
 
