@@ -78,7 +78,8 @@ class ExtensiveFormGame:
                 if not node.outcomes:
                     raise StructureError("chance node must have at least one outcome")
                 probs = [p for p, _ in node.outcomes]
-                if any(p < 0 for p in probs):
+                # not p >= 0 refuses a NaN too, which passes p < 0 and the sum check
+                if any(not p >= 0 for p in probs):
                     raise StructureError("chance probabilities must be nonnegative")
                 if abs(sum(probs) - 1.0) > _CHANCE_SUM_TOL:
                     raise StructureError(

@@ -27,10 +27,11 @@ every point z* of the sets
     lambda rho sum_i <F(z*), P_i - z*> <= <v, z* - z0> - ||v||^2 / 2 + E,
 
 where E sums (1/2 - 1/rho) ||d||^2 - (lambda / rho) <d^u, K^T d^w> over
-the steps; the state carries it next to v. Whenever E <= ||v||^2 / 2,
-the average of the P_i therefore satisfies <F(z*), avg P - z*> <=
-<r, z* - z0> for every z*, with r = v / (k lambda rho): its duality gap
-against the points within distance R of z0 is at most R ||r||, and
+the steps; the state carries E and z0 and reads v as z - z0. Whenever
+E <= ||v||^2 / 2, the average of the P_i therefore satisfies
+<F(z*), avg P - z*> <= <r, z* - z0> for every z*, with
+r = v / (k lambda rho): its duality gap against the points within
+distance R of z0 is at most R ||r||, and
 ||r|| = ||v|| / (k lambda rho) is the residual used as the stopping
 certificate. ||K|| does not enter the argument: the check E <= ||v||^2
 / 2 certifies each window whatever lambda ||K|| is, and residual is inf
@@ -56,7 +57,8 @@ averaging (Applegate, Hinder, Lu, Lubin, arXiv 2105.12715): whenever
 the certificate has fallen to a fifth of its reference, PDLP's
 sufficient-decay factor of 0.2 (Applegate et al., arXiv 2106.04756),
 the ergodic average of the steps since the last restart becomes the new
-start point, and v, E, the running sum and k start again from zero.
+start point z0, so v = z - z0 is zero again, and E, the running sum and
+k start again from zero.
 The average's plans y and x lie off the realization-plan polytopes,
 since a step clips them only at zero and holds E's rows by the
 multipliers; the start point takes them pushed onto the polytopes, as
@@ -139,12 +141,12 @@ class SolverState:
     bounds holds the offsets where p, x and q start. g = K^T w / rho is
     carried across steps; the division spares step a pass. c = (0, e1,
     0, e2) is the constant part of the update. rho is step's relaxation
-    factor: RHO, or 1 after solve's fallback. v accumulates every change
-    of z, z_sum every T(z), and E every step's window term (see the
-    module docstring); z0 is the start. k counts the steps since the
-    last restart, steps all of them.
+    factor: RHO, or 1 after solve's fallback. z_sum accumulates every
+    T(z), and E every step's window term (see the module docstring); z0
+    is the window's start, and the property v = z - z0 its displacement.
+    k counts the steps since the last restart, steps all of them.
 
-    __post_init__ copies z, g, v, z_sum and z0, so every construction, a
+    __post_init__ copies z, g, z_sum and z0, so every construction, a
     dataclasses.replace copy or a restart, owns the vectors step moves
     and leaves the state it came from as it was. It then builds every
     view of the state, once: y, p, x and q into z, and views, all that
@@ -153,16 +155,15 @@ class SolverState:
     Python float's dispatch, beside whether rho is 1 and the window
     term's two coefficients; the u half of c over rho and the w half of
     c; the u and w halves of z; and a scratch buffer whose rows are
-    T(z), its change t, (lam K^T t^w, 0) and the change rho * t of z,
-    with the parts of them step writes. step is the only writer in
-    place, so the views stay valid.
+    T(z), its change t, which step scales to the change rho * t of z,
+    and (lam K^T t^w, 0), with the parts of them step writes. step is
+    the only writer in place, so the views stay valid.
     """
 
     K: SparseMatrix
     z: np.ndarray
     g: np.ndarray
     c: np.ndarray
-    v: np.ndarray
     z_sum: np.ndarray
     z0: np.ndarray
     bounds: tuple[int, int, int]
@@ -175,19 +176,24 @@ class SolverState:
     views: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("z", "g", "v", "z_sum", "z0"):
+        for name in ("z", "g", "z_sum", "z0"):
             setattr(self, name, getattr(self, name).copy())
         n2, m, end_x = self.bounds
         n = self.z.size
         rho = self.rho
-        buf = np.zeros((4, n))
+        buf = np.zeros((3, n))
         z1, t = buf[0], buf[1]
         self.y, self.p, self.x, self.q = self.blocks(self.z)
         scalars = (np.array(self.lam), np.array(self.lam * rho), np.array(rho), rho == 1.0,
                    rho * (rho / 2 - 1), rho)
         self.views = (scalars, self.c[:m] / rho, self.c[m:], self.z[:m], self.z[m:],
                       z1, t, z1[:m], z1[m:], z1[:n2], z1[m:end_x], t[:m], t[m:],
-                      buf[2, :m], buf[1:3], buf[3])
+                      buf[2, :m], buf[1:3])
+
+    @property
+    def v(self) -> np.ndarray:
+        """The window's displacement z - z0, a new array."""
+        return self.z - self.z0
 
     def blocks(self, vec: np.ndarray) -> Quadruplet:
         """Split a stacked vector into (y, p, x, q) views."""
@@ -258,8 +264,8 @@ class SolveReport:
 
 def _window(K: SparseMatrix, z0: np.ndarray, rho: float) -> dict:
     """The fields of an averaging window that starts at z0, z = z0 included."""
-    return dict(z=z0, g=K.transpose_matvec(z0[K.cols:]) / rho, v=np.zeros(z0.size),
-                z_sum=np.zeros(z0.size), z0=z0, k=0, E=0.0)
+    return dict(z=z0, g=K.transpose_matvec(z0[K.cols:]) / rho, z_sum=np.zeros(z0.size),
+                z0=z0, k=0, E=0.0)
 
 
 def init(game: SequenceFormGame) -> SolverState:
@@ -303,13 +309,14 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     u2 = u1 - lam K^T (w1 - w). z then moves by d = rho t, t = T(z) - z,
     so h moves by K^T (w1 - w), the correction product's result, with
     no rho scaling. E gains rho ((rho / 2 - 1) ||t||^2 - <t^u, lam K^T
-    t^w>), the window term of d. T(z), t, lam K^T t^w and d are built in
-    the state's scratch buffer through state.views; only the two
-    products allocate. At rho = 1, z becomes T(z) itself.
+    t^w>), the window term of d. T(z), t, lam K^T t^w and d, which is t
+    scaled in place, are built in the state's scratch buffer through
+    state.views; only the two products allocate. At rho = 1, z becomes
+    T(z) itself.
     """
     K, z = state.K, state.z
     ((lam, lam_rho, rho, plain, tt_coef, tx_coef), c_u, c_w, u0, w0,
-     z1, t, u1, w1, y1, x1, tu, tw, lam_dg, t_and_lam_dg, d) = state.views
+     z1, t, u1, w1, y1, x1, tu, tw, lam_dg, t_and_lam_dg) = state.views
     np.add(state.g, c_u, out=u1)
     u1 *= lam_rho
     np.subtract(u0, u1, out=u1)
@@ -327,12 +334,11 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     u1 -= lam_dg
     np.subtract(u1, u0, out=tu)
     tt, tx = _einsum("ij,j->i", t_and_lam_dg, t).tolist()
-    np.multiply(t, rho, out=d)
-    state.v += d
     if plain:
         z[:] = z1
     else:
-        z += d
+        t *= rho
+        z += t
     state.z_sum += z1
     e = tt_coef * tt - tx_coef * tx
     state.E += e
@@ -349,12 +355,14 @@ def step(state: SolverState, game: SequenceFormGame) -> SolverState:
 def residual(state: SolverState) -> float:
     """Convergence certificate ||v|| / (k * lambda * rho); defined for k >= 1.
 
-    It is inf while the window check E <= ||v||^2 / 2 fails, since such
-    a window has no certificate (see the module docstring).
+    v = z - z0 is the window's displacement. The residual is inf while
+    the window check E <= ||v||^2 / 2 fails, since such a window has no
+    certificate (see the module docstring).
     """
     if state.k < 1:
         raise ValueError("residual is undefined before the first iteration")
-    vv = _dot(state.v, state.v)
+    v = state.v
+    vv = _dot(v, v)
     if vv == vv and not state.E <= 0.5 * vv:
         return math.inf
     return math.sqrt(vv) / (state.k * state.lam * state.rho)
@@ -391,7 +399,8 @@ def _trace_point(state, game, t0, res):
 
 def _window_check(state: SolverState) -> float:
     """E / (||v||^2 / 2): the window's certificate holds while this is at most 1."""
-    half = 0.5 * float(_dot(state.v, state.v))
+    v = state.v
+    half = 0.5 * float(_dot(v, v))
     if half == 0.0:
         return 0.0 if state.E <= 0.0 else math.inf
     return state.E / half

@@ -154,10 +154,6 @@ class SparseMatrix:
         rs, cs = np.nonzero(arr)
         return cls.__new__(cls)._from_arrays(arr.shape[0], arr.shape[1], rs, cs, arr[rs, cs])
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, [(i, i, 1.0) for i in range(n)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -311,8 +307,8 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
     near 1e78 overflow K^T K, ends the estimate at once as infinite and
     not converged. iterations counts rounds. Deterministic.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and positive")
     tol = _STOP_SAFETY * rel_tol
     size = min(_MAX_BASIS, matrix.cols)
     every_round = size < matrix.cols

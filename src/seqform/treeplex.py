@@ -75,7 +75,7 @@ class SequenceFormGame:
         for name in ("e1", "e2"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1:
-                raise ValueError(f"{name} must be a vector")
+                raise DimensionError(f"{name} must be a vector, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -397,6 +397,9 @@ def _checked_index(viols: list[Violation], index) -> TreeplexIndex:
 
 def build_treeplex_index(E: SparseMatrix, e) -> TreeplexIndex:
     """Compile one player's constraints into a traversable index."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.ndim != 1:
+        raise DimensionError(f"e must be a vector, got shape {e.shape}")
     return _checked_index(*_decode(E, e, "E", "e"))
 
 

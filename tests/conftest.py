@@ -41,7 +41,7 @@ def ternary_game(depth):
     E = SparseMatrix(infosets + 1, 3 * infosets + 1, trips)
     e = np.zeros(E.rows)
     e[0] = 1.0
-    return SequenceFormGame(A=SparseMatrix.identity(E.cols), E1=E, E2=E, e1=e, e2=e)
+    return SequenceFormGame(A=SparseMatrix.from_dense(np.eye(E.cols)), E1=E, E2=E, e1=e, e2=e)
 
 
 def lp_value(game):

@@ -98,6 +98,8 @@ def test_chance_probability_validation():
         ExtensiveFormGame(Chance(((0.6, Terminal(0.0)), (0.6, Terminal(0.0))))).validate()
     with pytest.raises(StructureError, match="nonnegative"):
         ExtensiveFormGame(Chance(((-0.5, Terminal(0.0)), (1.5, Terminal(0.0))))).validate()
+    with pytest.raises(StructureError, match="nonnegative"):
+        ExtensiveFormGame(Chance(((np.nan, Terminal(0.0)), (1.0, Terminal(0.0))))).validate()
     with pytest.raises(StructureError, match="at least one outcome"):
         ExtensiveFormGame(Chance(())).validate()
 

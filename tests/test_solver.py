@@ -12,7 +12,7 @@ import pytest
 
 import seqform
 from seqform import (DivergenceError, InitializationError, SolverConfig,
-                     SparseMatrix, duality_gap, ergodic_average,
+                     SolverState, SparseMatrix, duality_gap, ergodic_average,
                      expected_value, feasibility_residuals, init,
                      normalize_to_polytope, random_matrix_game, residual,
                      simplex_game, solve, step, to_sequence_form)
@@ -301,7 +301,8 @@ def test_residual_arithmetic(trivial_game, plain_rho):
         residual(state)
     state.k = 5
     assert residual(state) == 0.0
-    state.v = np.array([2.0, 0.0, 0.0, 0.0])
+    # z0 is zero after init, so v = z - z0 is z bit for bit
+    state.z[:] = [2.0, 0.0, 0.0, 0.0]
     state.k = 4
     assert residual(state) == 1.0
 
@@ -311,9 +312,9 @@ def test_residual_of_a_huge_or_nan_v_is_inf_or_nan_without_a_warning(kuhn):
     state.k = 2
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        state.v = np.full(state.v.size, 1e200)
+        state.z[:] = 1e200
         assert residual(state) == math.inf
-        state.v = np.full(state.v.size, np.nan)
+        state.z[:] = np.nan
         assert math.isnan(residual(state))
     assert caught == []
 
@@ -329,7 +330,7 @@ def test_residual_is_the_norm_of_v_over_k_lambda(kuhn, pennies, plain_rho):
     state = init(pennies)
     state.k = 3
     for scale in (1e-150, 1.0, 1e150):
-        state.v = scale * rng.standard_normal(state.v.size)
+        state.z[:] = scale * rng.standard_normal(state.z.size)
         states.append(dataclasses.replace(state))
     for state in states:
         got = residual(state)
@@ -378,12 +379,23 @@ def test_ergodic_average_is_running_mean(pennies, plain_rho):
 
 
 def test_telescoping_identity():
+    # the state stores no v: it reads the window's displacement as z - z0,
+    # through steps, a restart and the rho = 1 fallback's restart, and step
+    # works in a scratch buffer of three rows
+    import seqform.solver as solver_module
+
+    assert "v" not in {f.name for f in dataclasses.fields(SolverState)}
     game = random_matrix_game(20, 20, seed=5)
     state = init(game)
-    for _ in range(500):
-        step(state, game)
-        gap = np.max(np.abs(state.v - (state.z - state.z0)))
-        assert gap <= 1e-12
+    for rho in (None, state.rho, 1.0):
+        if rho is not None:
+            state = solver_module._restart(state, game, rho)
+        assert state.views[5].base.shape == (3, state.z.size)
+        assert same_bits(state.v, np.zeros(state.z.size))
+        for _ in range(200):
+            step(state, game)
+            assert same_bits(state.v, state.z - state.z0)
+    assert state.rho == 1.0 and state.steps == 600
 
 
 def test_trivial_game_convergence(trivial_game):
@@ -670,7 +682,6 @@ def concatenate_step(state, game):
         dg = K.transpose_matvec(w1 - w0)
         state.g += dg
         z1 = np.concatenate([u1 - lam * dg, w1])
-        state.v += z1 - z
         z[:] = z1
         state.z_sum += z
         state.k += 1
@@ -697,7 +708,7 @@ def test_step_matches_the_concatenate_step_bit_for_bit(kuhn, which, plain_rho):
         if k == 250:
             state = solver_module._restart(state, game, state.rho)
             ref = solver_module._restart(ref, game, ref.rho)
-        for name in ("z", "g", "v", "z_sum"):
+        for name in ("z", "g", "z_sum"):
             assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
     assert (state.k, state.steps) == (ref.k, ref.steps) == (250, 500)
 
@@ -721,7 +732,7 @@ def test_stepping_a_replace_copy_leaves_the_original_as_it_was(kuhn):
     state = init(game)
     for _ in range(5):
         step(state, game)
-    names = ("z", "g", "v", "z_sum", "z0")
+    names = ("z", "g", "z_sum", "z0")
     before = {name: getattr(state, name).copy() for name in names}
     counters = (state.k, state.E, state.steps)
     res = residual(state)
@@ -766,7 +777,7 @@ def test_step_allocates_less_than_one_state_vector():
         step(first, game)
         step(second, game)
     for copy, ref in zip((first, second), alone):
-        for name in ("z", "g", "v", "z_sum"):
+        for name in ("z", "g", "z_sum"):
             assert same_bits(getattr(copy, name), getattr(ref, name)), name
 
 
@@ -785,7 +796,7 @@ def test_the_fallback_opens_a_plain_window(kuhn, monkeypatch):
     for k in range(1, 51):
         step(state, game)
         concatenate_step(ref, game)
-        for name in ("z", "g", "v", "z_sum"):
+        for name in ("z", "g", "z_sum"):
             assert same_bits(getattr(state, name), getattr(ref, name)), (k, name)
 
     # a solve that falls back estimates the norm once
@@ -811,7 +822,7 @@ def test_a_restart_leaves_the_state_it_came_from_as_it_was(kuhn, to_plain):
     state = init(game)
     for _ in range(7):
         step(state, game)
-    names = ("z", "g", "v", "z_sum", "z0")
+    names = ("z", "g", "z_sum", "z0")
     before = {name: getattr(state, name).copy() for name in names}
     counters = (state.k, state.E, state.steps)
     restarted = solver_module._restart(state, game, 1.0 if to_plain else state.rho)

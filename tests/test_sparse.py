@@ -30,7 +30,7 @@ def test_empty_matrix():
 
 
 def test_identity():
-    m = SparseMatrix.identity(3)
+    m = SparseMatrix.from_dense(np.eye(3))
     v = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(m.matvec(v), v)
     assert np.array_equal(m.transpose_matvec(v), v)
@@ -418,9 +418,10 @@ def test_spectral_norm_deterministic():
 
 
 def test_spectral_norm_parameter_validation():
-    m = SparseMatrix.identity(2)
-    with pytest.raises(ValueError):
-        spectral_norm(m, rel_tol=0.0)
+    m = SparseMatrix.from_dense(np.eye(2))
+    for rel_tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            spectral_norm(m, rel_tol=rel_tol)
 
 
 def test_spectral_norm_iteration_budget(monkeypatch):

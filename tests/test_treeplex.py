@@ -134,6 +134,11 @@ def test_index_rejects_broken_system():
     E = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 0, -1.0), (1, 1, 1.0), (1, 1, 1.0)])
     with pytest.raises(StructureError):
         build_treeplex_index(E, np.array([1.0, 0.0]))
+    # e must be a vector, as in a SequenceFormGame
+    simplex = SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)])
+    for e in (np.ones((1, 1)), 1.0):
+        with pytest.raises(DimensionError, match="must be a vector"):
+            build_treeplex_index(simplex, e)
 
 
 def test_each_treeplex_is_decoded_once_per_game(kuhn, monkeypatch):
