@@ -26,7 +26,6 @@ list everything wrong with a file at once.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -214,20 +213,25 @@ class TreeplexIndex:
     simplex's set hangs off it as a virtual root of mass one, and a tree
     leaves it at zero. levels, built by the decoder, groups the sets by
     depth, shallowest first, each level in topo order; no set's parent
-    sequence lies in its own level or a deeper one, so a sweep treats
-    each level with whole-array operations.
+    sequence lies in its own level or a deeper one, so a sweep treats each
+    level with whole-array operations. children is read off the levels on
+    first use; == compares num_sequences, simplex, parent_seq and topo.
     """
 
     num_sequences: int
     simplex: bool
     parent_seq: tuple
-    children: tuple
     topo: tuple
     levels: tuple["TreeplexLevel", ...] = field(compare=False, repr=False)
 
     @property
     def num_infosets(self) -> int:
-        return len(self.children)
+        return len(self.topo)
+
+    @functools.cached_property
+    def children(self) -> tuple:
+        blocks = [b for lv in self.levels for b in np.split(lv.seqs, lv.starts[1:])]
+        return tuple(tuple(blocks[k].tolist()) for k in np.argsort(self.topo).tolist())
 
 
 class TreeplexLevel(NamedTuple):
@@ -297,8 +301,7 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
     # a single row holding a +1 in every column leaves no room for any other entry
     if E.rows == 1 and num_plus[0] == E.cols:
         return out, None if out else TreeplexIndex(
-            num_sequences=E.cols, simplex=True, parent_seq=(None,),
-            children=(tuple(plus_cols.tolist()),), topo=(0,),
+            num_sequences=E.cols, simplex=True, parent_seq=(None,), topo=(0,),
             levels=_levels(np.array([E.cols]), plus_cols, num_plus, np.ones(1, dtype=np.intp)))
 
     if num_neg[0] or num_plus[0] != 1 or plus_cols[0] != 0:
@@ -349,15 +352,12 @@ def _decode(E: SparseMatrix, e, mat: str, vec: str) -> tuple[list[Violation], Op
                 out.append(Violation(mat, f"row {start}", f"parent chain {rule}"))
                 state.update(dict.fromkeys(path, 2))
         return out, None
-    pluses = plus_cols.tolist()
-    ends = list(itertools.accumulate(num_plus.tolist()))
     topo = depth[1:].argsort(kind="stable")
     # row 0's +1 entry comes first; sorted stably by their row's depth, the
     # other rows' +1 entries list each level's sets' sequences in topo order
     seqs = plus_cols[1:][depth[plus_rows[1:]].argsort(kind="stable")]
     return out, TreeplexIndex(
         num_sequences=E.cols, simplex=False, parent_seq=tuple(parent_seq.tolist()),
-        children=tuple(tuple(pluses[a:b]) for a, b in zip(ends, ends[1:])),
         topo=tuple(topo.tolist()),
         levels=_levels(parent_seq[topo], seqs, num_plus[1:][topo], np.bincount(depth[1:])[1:]))
 

@@ -23,6 +23,10 @@ def test_readme_python_blocks_run_in_one_namespace(capsys):
     state = namespace["state"]
     assert state.E <= 0.5 * float(np.einsum("i,i->", state.v, state.v))
     assert namespace["residual"](state) < 1e-3
+    # and takes the number of steps README quotes for it
+    quoted = re.search(r"Kuhn poker takes ([\d,]+) steps to 1e-3",
+                       " ".join(README.read_text(encoding="utf-8").split()))
+    assert quoted and int(quoted.group(1).replace(",", "")) == state.steps
     assert capsys.readouterr().out
 
 

@@ -307,6 +307,19 @@ def test_residual_arithmetic(trivial_game, plain_rho):
     assert residual(state) == 1.0
 
 
+def test_a_window_that_has_not_moved_is_certified_only_without_energy(kuhn):
+    # v = z - z0 is zero, so ||v||^2 / 2 is zero: the window check holds
+    # only while E is at most zero, and the certificate follows it
+    import seqform.solver as solver_module
+    state = init(kuhn[1])
+    step(state, kuhn[1])
+    state.z[:] = state.z0
+    state.E = 0.0
+    assert residual(state) == solver_module._window_check(state) == 0.0
+    state.E = 1.0
+    assert residual(state) == solver_module._window_check(state) == math.inf
+
+
 def test_residual_of_a_huge_or_nan_v_is_inf_or_nan_without_a_warning(kuhn):
     state = init(kuhn[1])
     state.k = 2

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
-                     SequenceFormGame, SparseMatrix, StructureError,
+                     SequenceFormGame, SolverConfig, SparseMatrix, StructureError,
                      TreeplexIndex, ValidationError, Violation, best_response,
                      build_treeplex_index, duality_gap, expected_value, feasibility_residuals,
-                     normalize_to_polytope, random_matrix_game, simplex_game,
-                     simplex_gap, validate_sequence_form)
+                     kuhn_poker, normalize_to_polytope, random_matrix_game, simplex_game,
+                     simplex_gap, solve, to_sequence_form, validate_sequence_form)
 from seqform.oracle import embed_pure_strategy
 from seqform.treeplex import TreeplexLevel
 from conftest import random_treeplex, ternary_game
@@ -106,7 +106,18 @@ def test_simplex_index():
 def test_index_fields():
     # the index describes the tree alone: nothing names its player
     assert [f.name for f in dataclasses.fields(TreeplexIndex)] == [
-        "num_sequences", "simplex", "parent_seq", "children", "topo", "levels"]
+        "num_sequences", "simplex", "parent_seq", "topo", "levels"]
+
+
+def test_a_solve_never_reads_the_children_tuples():
+    # children is a cached property read off the levels on first use; no
+    # solve step, trace point or restart needs it, so a solve leaves it unbuilt.
+    # Each game is new: the shared kuhn fixture's indexes may have been read
+    for game in (to_sequence_form(kuhn_poker())[0], ternary_game(4), random_matrix_game(5, 4, 0)):
+        report = solve(game, SolverConfig(epsilon=1e-3, trace_every=10))
+        assert report.converged and report.restarts
+        assert "children" not in vars(game.index1)
+        assert "children" not in vars(game.index2)
 
 
 def test_two_level_index():
@@ -315,7 +326,8 @@ def _ref_index(num_sequences, simplex, parent_seq, children, topo):
     """The TreeplexIndex of these fields, its levels found by a Python walk of the sets.
 
     The walk gives each set the depth of its parent sequence plus one,
-    in topo order, then groups the sets by depth.
+    in topo order, then groups the sets by depth. The index reads its
+    children off those levels; they must be the children given.
     """
     parents = (num_sequences,) if simplex else parent_seq
     seq_depth = [0] * (num_sequences + 1)
@@ -333,8 +345,10 @@ def _ref_index(num_sequences, simplex, parent_seq, children, topo):
             seqs=np.array([c for i in group for c in children[i]], dtype=np.intp),
             starts=np.cumsum(sizes) - sizes, sizes=sizes,
             owner=np.repeat(np.arange(sizes.size), sizes)))
-    return TreeplexIndex(num_sequences=num_sequences, simplex=simplex, parent_seq=parent_seq,
-                         children=children, topo=topo, levels=tuple(levels))
+    index = TreeplexIndex(num_sequences=num_sequences, simplex=simplex, parent_seq=parent_seq,
+                          topo=topo, levels=tuple(levels))
+    assert index.children == children
+    return index
 
 
 def _assert_same_levels(got, want):
