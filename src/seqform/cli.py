@@ -16,17 +16,22 @@ as {"path", "sha256"} or {"builtin": "kuhn"}.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
-4 numerical divergence. I/O failures exit 1.
+4 numerical divergence. I/O failures exit 1. solve checks its paths
+before it reads the game, so an output that is the game file or
+another output (exit 2), or that lies in a missing directory (exit 1),
+is refused with nothing written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 
@@ -314,10 +319,36 @@ def _summary_line(report: SolveReport) -> str:
             f"restarts={len(report.restarts)}")
 
 
+def _clashing_paths(args) -> str | None:
+    """A message naming two of solve's files that are one file, else None.
+
+    An output that is the game file, or another output, would be
+    overwritten by the solve; paths are compared once resolved, so
+    ./g.json and a link to g.json are g.json.
+    """
+    seen = {}
+    for name, path in (("the game file", args.game), ("--report", args.report),
+                       ("--trace", args.trace), ("--strategies", args.strategies)):
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                return f"{seen[real]} and {name} are the same file: {path}"
+            seen[real] = name
+    return None
+
+
 def cmd_solve(args) -> int:
     if (args.game is None) == (args.builtin is None):
         print("error: give exactly one of a game file or --builtin kuhn", file=sys.stderr)
         return 2
+    clash = _clashing_paths(args)
+    if clash:
+        print(f"error: {clash}", file=sys.stderr)
+        return 2
+    # refused before the solve, which would otherwise run to its first write
+    for path in (args.report, args.trace, args.strategies):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
     if args.builtin is not None:
         game = to_sequence_form(kuhn_poker())[0]
         game_desc = {"builtin": "kuhn"}

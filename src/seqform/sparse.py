@@ -23,7 +23,8 @@ solves.
 spectral_norm estimates the largest singular value, which sets the
 solver's step size, by Lanczos on K^T K with numpy alone: importing
 scipy's dense or sparse eigensolvers would cost more than a whole
-set-up of a small game.
+set-up of a small game. Its plain three-term recurrence needs no
+reorthogonalization: a Rayleigh quotient, its value is at most the norm.
 """
 
 from __future__ import annotations
@@ -287,16 +288,18 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
 
     Runs Lanczos on the normal matrix K^T K from a fixed random start
     (default_rng(0)), never forming it: each round is one forward and
-    one transposed product. Each new Lanczos vector is reorthogonalized
-    against the whole basis, which holds at most _MAX_BASIS vectors; a
-    full basis restarts Lanczos from the top Ritz vector. The iteration
-    stops once the residual of the top Ritz pair is at most
-    _STOP_SAFETY * rel_tol times its Ritz value, or after _MAX_ROUNDS
-    rounds, not converged, and returns ||K x|| for the normalized top
-    Ritz vector x. That is a Rayleigh quotient: up to rounding it never
-    exceeds the true norm, and its error is of the order of the squared
-    residual, so it is accurate to rounding unless the top two singular
-    values nearly coincide.
+    one transposed product, and each new vector is orthogonalized
+    against the last two only. The basis holds at most _MAX_BASIS
+    vectors; a full basis restarts Lanczos from the top Ritz vector.
+    The iteration stops once the residual of the top Ritz pair is at
+    most _STOP_SAFETY * rel_tol times its Ritz value, or after
+    _MAX_ROUNDS rounds, not converged, and returns ||K x|| for the
+    normalized top Ritz vector x. That is a Rayleigh quotient, however
+    much orthogonality the basis lost, which only repeats converged Ritz
+    values (Paige, 1980): up to rounding it never exceeds the true norm,
+    and its error is of the order of the squared residual, so it is
+    accurate to rounding unless the top two singular values nearly
+    coincide.
 
     The tridiagonal projection is solved every round, except when the
     basis can hold the whole space (at most _MAX_BASIS columns): the
@@ -326,10 +329,6 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
         w -= alpha * q
         if j:
             w -= T[j, j - 1] * basis[j - 1]
-        # einsum rather than @ for the reason _dot gives: BLAS hand-offs
-        # measured 8-16 ms per product on a busy 2-vCPU machine
-        seen = basis[:j + 1]
-        w -= np.einsum("i,ij->j", np.einsum("ij,j->i", seen, w), seen)
         beta = math.sqrt(_dot(w, w))
         if not math.isfinite(beta):
             return SpectralEstimate(math.inf, False, it)
@@ -339,7 +338,7 @@ def spectral_norm(matrix: SparseMatrix, rel_tol: float = 1e-6) -> SpectralEstima
             ritz, vecs = np.linalg.eigh(T[:j, :j])
             converged = beta * abs(float(vecs[-1, -1])) <= tol * abs(float(ritz[-1]))
             if converged or j == size or it == _MAX_ROUNDS:
-                x = np.einsum("i,ij->j", vecs[:, -1], seen)
+                x = _einsum("i,ij->j", vecs[:, -1], basis[:j])
                 x /= math.sqrt(_dot(x, x))
                 if converged or it == _MAX_ROUNDS:
                     Kx = matrix.matvec(x)

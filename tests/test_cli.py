@@ -351,6 +351,36 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert abs(sum(strategies["y"][1:3]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("outputs", [
+    [flag, spelling] for flag in ("--report", "--trace", "--strategies")
+    for spelling in ("g.json", "./g.json")
+] + [["--trace", "out", "--report", "out"]])
+def test_solve_refuses_to_write_over_its_own_files(tmp_path, capsys, monkeypatch, outputs):
+    monkeypatch.chdir(tmp_path)
+    main(["make-game", "kuhn", "--out", "g.json"])
+    before = (tmp_path / "g.json").read_bytes()
+    capsys.readouterr()
+    assert main(["solve", "g.json", *outputs]) == 2
+    assert "are the same file" in capsys.readouterr().err
+    assert (tmp_path / "g.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace", "--strategies"])
+def test_solve_refuses_an_output_in_a_missing_directory_before_solving(tmp_path, capsys,
+                                                                       monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+
+    def no_solve(*args):
+        raise AssertionError("solved before checking the outputs")
+
+    monkeypatch.setattr("seqform.cli.solve", no_solve)
+    assert main(["solve", "--builtin", "kuhn", flag, "nodir/out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "nodir/out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["solve", "--builtin", "kuhn", "--epsilon", "1e-2"]

@@ -412,6 +412,40 @@ def test_spectral_norm_is_a_rayleigh_quotient(shape):
     assert (exact - est.value) / exact < 1e-13
 
 
+def _assert_estimate(matrix, max_rounds):
+    # the reference is LAPACK's, since the oracle refuses operators past 64x64
+    est = spectral_norm(matrix)
+    exact = np.linalg.norm(matrix.to_dense(), 2)
+    assert est.converged
+    assert est.iterations <= max_rounds
+    assert abs(est.value - exact) <= 1e-12 * exact
+
+
+def test_spectral_norm_plain_recurrence_separates_close_singular_values():
+    # s1 = 1 and s2 = 1 - 1e-3 above a 0.97^k tail: the basis loses
+    # orthogonality as the top Ritz value converges, which must not stop it
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+    V = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+    s = 0.97 ** np.arange(300.0)
+    s[:2] = 1.0, 1.0 - 1e-3
+    _assert_estimate(SparseMatrix.from_dense((U * s) @ V.T), 40)
+
+
+@pytest.mark.parametrize("shape", [(25, 25), (60, 40)])
+def test_spectral_norm_plain_recurrence_on_rank_three(shape):
+    # from a random start the Krylov space holds three eigenvectors and a
+    # null vector of K^T K, so it closes after four rounds, on the deferred
+    # path (25 columns) and on the every-round path (40)
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+    _assert_estimate(SparseMatrix.from_dense(dense), 5)
+
+
+def test_spectral_norm_plain_recurrence_on_a_treeplex_game():
+    _assert_estimate(build_K(ternary_game(5)), 30)
+
+
 def test_spectral_norm_deterministic():
     m = SparseMatrix.from_dense(np.random.default_rng(3).standard_normal((8, 8)))
     a = spectral_norm(m)
