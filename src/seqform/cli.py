@@ -16,10 +16,11 @@ as {"path", "sha256"} or {"builtin": "kuhn"}.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
-4 numerical divergence. I/O failures exit 1. solve checks its paths
-before it reads the game, so an output that is the game file or
-another output (exit 2), or that lies in a missing directory (exit 1),
-is refused with nothing written.
+4 numerical divergence. I/O failures exit 1. Both commands check their
+outputs before any work is done, and refuse with nothing written an
+output that is the game file or another output, whether named by path
+or reached by a hard link (exit 2), or that is an existing directory
+or lies in a missing one (exit 1).
 """
 
 from __future__ import annotations
@@ -240,6 +241,7 @@ def cmd_make_game(args) -> int:
     if args.kind == "random-matrix" and (args.rows is None or args.cols is None):
         print("error: random-matrix requires --rows and --cols", file=sys.stderr)
         return 2
+    _check_outputs(None, {"--out": args.out})  # one output: no clash, only the raises
     game = to_sequence_form(kuhn_poker())[0] if args.kind == "kuhn" \
         else random_matrix_game(args.rows, args.cols, args.seed or 0)
     _write_json(args.out, game.to_dict())
@@ -319,21 +321,29 @@ def _summary_line(report: SolveReport) -> str:
             f"restarts={len(report.restarts)}")
 
 
-def _clashing_paths(args) -> str | None:
-    """A message naming two of solve's files that are one file, else None.
+def _check_outputs(game: str | None, outputs: dict) -> str | None:
+    """A message if two of the game file and the outputs ({flag: path}) are one file, else None.
 
-    An output that is the game file, or another output, would be
-    overwritten by the solve; paths are compared once resolved, so
-    ./g.json and a link to g.json are g.json.
+    An existing path is compared by device and inode, so a hard link is
+    its target, and a missing one once resolved. An output that is a
+    directory, or lies in a missing one, raises before any work is done.
     """
     seen = {}
-    for name, path in (("the game file", args.game), ("--report", args.report),
-                       ("--trace", args.trace), ("--strategies", args.strategies)):
+    for name, path in (("the game file", game), *outputs.items()):
         if path:
-            real = os.path.realpath(path)
-            if real in seen:
-                return f"{seen[real]} and {name} are the same file: {path}"
-            seen[real] = name
+            try:
+                st = os.stat(path)
+                key = st.st_dev, st.st_ino  # what os.path.samestat compares
+            except OSError:
+                key = os.path.realpath(path)
+            if key in seen:
+                return f"{seen[key]} and {name} are the same file: {path}"
+            seen[key] = name
+    for path in filter(None, outputs.values()):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "the output is a directory", path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
     return None
 
 
@@ -341,14 +351,11 @@ def cmd_solve(args) -> int:
     if (args.game is None) == (args.builtin is None):
         print("error: give exactly one of a game file or --builtin kuhn", file=sys.stderr)
         return 2
-    clash = _clashing_paths(args)
+    clash = _check_outputs(args.game, {"--report": args.report, "--trace": args.trace,
+                                       "--strategies": args.strategies})
     if clash:
         print(f"error: {clash}", file=sys.stderr)
         return 2
-    # refused before the solve, which would otherwise run to its first write
-    for path in (args.report, args.trace, args.strategies):
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
     if args.builtin is not None:
         game = to_sequence_form(kuhn_poker())[0]
         game_desc = {"builtin": "kuhn"}

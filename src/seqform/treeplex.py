@@ -106,8 +106,8 @@ class SequenceFormGame:
         The game is validated first, and an invalid one raises
         ValidationError listing every violation, so build_K, a solve and
         the evaluators all read one K that exists only for a valid game.
-        K is built in row-major order, with no sort over A: row i < n1 holds
-        A's row i, then E1's column i negated, E1's rows ascending; E2 follows.
+        K is its stacked blocks A, -E1^T and E2, sorted stably by row, so
+        row i < n1 holds A's row i, then E1's column i negated, E1's rows ascending.
         """
         violations = validate_sequence_form(self)
         if violations:
@@ -115,14 +115,13 @@ class SequenceFormGame:
         n1, n2 = self.n1, self.n2
         (ar, ac, av), (er1, ec1, ev1), (er2, ec2, ev2) = (
             m._coo() for m in (self.A, self.E1, self.E2))
-        order = np.argsort(ec1, kind="stable")
-        at = self.A._indptr[ec1[order] + 1]
+        rows = np.concatenate([ar, ec1, n1 + er2])
+        order = np.argsort(rows, kind="stable")
         return SparseMatrix.__new__(SparseMatrix)._from_arrays(
-            n1 + self.l2, n2 + self.l1,
-            np.insert(np.concatenate([ar, n1 + er2]), at, ec1[order]),
+            n1 + self.l2, n2 + self.l1, rows[order],
             # stored columns may be int32, and K's columns run past A's and E2's
-            np.insert(np.concatenate([ac, ec2], dtype=np.int64), at, n2 + er1[order]),
-            np.insert(np.concatenate([av, ev2]), at, -ev1[order]))
+            np.concatenate([ac, n2 + er1, ec2], dtype=np.int64)[order],
+            np.concatenate([av, -ev1, ev2])[order])
 
     @functools.cached_property
     def index1(self) -> "TreeplexIndex":

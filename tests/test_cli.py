@@ -381,6 +381,56 @@ def test_solve_refuses_an_output_in_a_missing_directory_before_solving(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_refuses_a_hard_link_to_its_game_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(["make-game", "kuhn", "--out", "g.json"])
+    before = (tmp_path / "g.json").read_bytes()
+    try:
+        os.link("g.json", "h.json")
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"no hard links here: {exc}")
+    capsys.readouterr()
+    assert main(["solve", "g.json", "--report", "h.json"]) == 2
+    assert "the game file and --report are the same file: h.json" in capsys.readouterr().err
+    assert (tmp_path / "g.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "h.json"]
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace", "--strategies"])
+def test_solve_refuses_an_output_that_is_a_directory_before_solving(tmp_path, capsys,
+                                                                    monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def no_game():
+        raise AssertionError("built the game before checking the outputs")
+
+    monkeypatch.setattr("seqform.cli.kuhn_poker", no_game)
+    assert main(["solve", "--builtin", "kuhn", flag, "sub"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "the output is a directory: 'sub'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["nodir/g.json", "sub"])
+def test_make_game_refuses_its_output_before_building_the_game(tmp_path, capsys,
+                                                               monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def no_game(*args):
+        raise AssertionError("built the game before checking --out")
+
+    monkeypatch.setattr("seqform.cli.random_matrix_game", no_game)
+    assert main(["make-game", "random-matrix", "--rows", "1000", "--cols", "1000",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and out in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
 def test_solve_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["solve", "--builtin", "kuhn", "--epsilon", "1e-2"]
