@@ -16,11 +16,12 @@ as {"path", "sha256"} or {"builtin": "kuhn"}.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
-4 numerical divergence. I/O failures exit 1. Both commands check their
-outputs before any work is done, and refuse with nothing written an
-output that is the game file or another output, whether named by path
-or reached by a hard link (exit 2), or that is an existing directory
-or lies in a missing one (exit 1).
+4 numerical divergence. I/O failures exit 1. The argument parser
+reports every usage error. Both commands check their outputs before
+any work is done, and refuse with nothing written an output that is
+the game file or another output, whether named by path or reached by
+a hard link (exit 2), or that is empty, ends in a path separator, is
+an existing directory or lies in a missing one (exit 1).
 """
 
 from __future__ import annotations
@@ -203,12 +204,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make-game", formatter_class=fmt, help="write a built-in game to JSON")
-    mk.add_argument("kind", choices=["kuhn", "random-matrix"])
-    mk.add_argument("--out", required=True, help="output path for the sequence-form JSON")
-    mk.add_argument("--rows", type=_positive_int, help="rows for random-matrix")
-    mk.add_argument("--cols", type=_positive_int, help="cols for random-matrix")
-    mk.add_argument("--seed", type=_nonnegative_int, help="seed for random-matrix (default 0)")
-    mk.set_defaults(func=cmd_make_game)
+    kinds = mk.add_subparsers(dest="kind", required=True)
+    kuhn = kinds.add_parser("kuhn", formatter_class=fmt, help="Kuhn poker")
+    rm = kinds.add_parser("random-matrix", formatter_class=fmt, help="a random matrix game")
+    for kind in (kuhn, rm):
+        kind.add_argument("--out", required=True, help="output path for the sequence-form JSON")
+        kind.set_defaults(func=cmd_make_game, error=kind.error)
+    rm.add_argument("--rows", type=_positive_int, required=True, help="payoff matrix rows")
+    rm.add_argument("--cols", type=_positive_int, required=True, help="payoff matrix columns")
+    rm.add_argument("--seed", type=_nonnegative_int, default=0,
+                    help="seed of the payoff draw (default %(default)s)")
 
     va = sub.add_parser("validate", formatter_class=fmt, help="check a sequence-form JSON file")
     va.add_argument("game", help="path to the game file")
@@ -229,21 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--trace", default="trace.csv", help="trace path (default trace.csv)")
     so.add_argument("--strategies", default=None,
                     help="optional path for the computed strategies")
-    so.set_defaults(func=cmd_solve)
+    so.set_defaults(func=cmd_solve, error=so.error)
     return parser
 
 
 def cmd_make_game(args) -> int:
-    given = [f"--{flag}" for flag in ("rows", "cols", "seed") if getattr(args, flag) is not None]
-    if args.kind == "kuhn" and given:
-        print(f"error: kuhn takes no {', '.join(given)}", file=sys.stderr)
-        return 2
-    if args.kind == "random-matrix" and (args.rows is None or args.cols is None):
-        print("error: random-matrix requires --rows and --cols", file=sys.stderr)
-        return 2
-    _check_outputs(None, {"--out": args.out})  # one output: no clash, only the raises
+    _check_outputs(args.error, None, {"--out": args.out})  # one output: no clash, only the raises
     game = to_sequence_form(kuhn_poker())[0] if args.kind == "kuhn" \
-        else random_matrix_game(args.rows, args.cols, args.seed or 0)
+        else random_matrix_game(args.rows, args.cols, args.seed)
     _write_json(args.out, game.to_dict())
     print(f"wrote {args.out}")
     return 0
@@ -321,41 +319,41 @@ def _summary_line(report: SolveReport) -> str:
             f"restarts={len(report.restarts)}")
 
 
-def _check_outputs(game: str | None, outputs: dict) -> str | None:
-    """A message if two of the game file and the outputs ({flag: path}) are one file, else None.
+def _check_outputs(error, game: str | None, outputs: dict) -> None:
+    """Refuse, before any work, outputs ({flag: path}, None if not written) that cannot be written.
 
-    An existing path is compared by device and inode, so a hard link is
-    its target, and a missing one once resolved. An output that is a
-    directory, or lies in a missing one, raises before any work is done.
+    An output that is empty, names a directory (an existing one, or any
+    path ending in a separator) or lies in a missing directory raises.
+    Two of the game file and the outputs that are one file go to error,
+    the parser's usage error: an existing path is compared by device and
+    inode, so a hard link is its target, and a missing one once resolved.
     """
+    outputs = {flag: path for flag, path in outputs.items() if path is not None}
+    for path in outputs.values():
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, "the output path is empty", path)
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise IsADirectoryError(errno.EISDIR, "the output is a directory", path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
     seen = {}
     for name, path in (("the game file", game), *outputs.items()):
-        if path:
+        if path is not None:
             try:
                 st = os.stat(path)
                 key = st.st_dev, st.st_ino  # what os.path.samestat compares
             except OSError:
                 key = os.path.realpath(path)
             if key in seen:
-                return f"{seen[key]} and {name} are the same file: {path}"
+                error(f"{seen[key]} and {name} are the same file: {path}")
             seen[key] = name
-    for path in filter(None, outputs.values()):
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, "the output is a directory", path)
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
-    return None
 
 
 def cmd_solve(args) -> int:
     if (args.game is None) == (args.builtin is None):
-        print("error: give exactly one of a game file or --builtin kuhn", file=sys.stderr)
-        return 2
-    clash = _check_outputs(args.game, {"--report": args.report, "--trace": args.trace,
-                                       "--strategies": args.strategies})
-    if clash:
-        print(f"error: {clash}", file=sys.stderr)
-        return 2
+        args.error("give exactly one of a game file or --builtin kuhn")
+    _check_outputs(args.error, args.game, {"--report": args.report, "--trace": args.trace,
+                                           "--strategies": args.strategies})
     if args.builtin is not None:
         game = to_sequence_form(kuhn_poker())[0]
         game_desc = {"builtin": "kuhn"}
@@ -368,7 +366,7 @@ def cmd_solve(args) -> int:
                                       trace_every=args.trace_every))
     write_trace_csv(args.trace, report.trace)
     _write_json(args.report, _report_dict(report, _manifest(args, game_desc)))
-    if args.strategies:
+    if args.strategies is not None:
         _write_json(args.strategies, _strategies_dict(report))
     print(_summary_line(report))
     return 0 if report.converged else 3
@@ -396,10 +394,6 @@ def main(argv=None) -> int:
     except SeqformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

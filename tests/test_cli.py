@@ -68,8 +68,11 @@ def test_make_game_random_matrix(tmp_path):
 
 def test_make_game_random_matrix_needs_dimensions(tmp_path, capsys):
     out = tmp_path / "rm.json"
-    assert main(["make-game", "random-matrix", "--out", str(out)]) == 2
-    assert "requires --rows and --cols" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["make-game", "random-matrix", "--out", str(out)])
+    assert err.value.code == 2
+    assert "the following arguments are required: --rows, --cols" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -360,7 +363,9 @@ def test_solve_refuses_to_write_over_its_own_files(tmp_path, capsys, monkeypatch
     main(["make-game", "kuhn", "--out", "g.json"])
     before = (tmp_path / "g.json").read_bytes()
     capsys.readouterr()
-    assert main(["solve", "g.json", *outputs]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "g.json", *outputs])
+    assert err.value.code == 2
     assert "are the same file" in capsys.readouterr().err
     assert (tmp_path / "g.json").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
@@ -390,7 +395,9 @@ def test_solve_refuses_a_hard_link_to_its_game_file(tmp_path, capsys, monkeypatc
     except (OSError, NotImplementedError) as exc:
         pytest.skip(f"no hard links here: {exc}")
     capsys.readouterr()
-    assert main(["solve", "g.json", "--report", "h.json"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "g.json", "--report", "h.json"])
+    assert err.value.code == 2
     assert "the game file and --report are the same file: h.json" in capsys.readouterr().err
     assert (tmp_path / "g.json").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "h.json"]
@@ -431,6 +438,27 @@ def test_make_game_refuses_its_output_before_building_the_game(tmp_path, capsys,
     assert list((tmp_path / "sub").iterdir()) == []
 
 
+@pytest.mark.parametrize("path", ["", "nodir/", "f/"], ids=["empty", "nodir-slash", "file-slash"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--builtin", "kuhn", flag] for flag in ("--report", "--trace", "--strategies")
+] + [["make-game", "kuhn", "--out"]], ids=["report", "trace", "strategies", "make-game-out"])
+def test_an_output_that_names_no_file_is_refused_before_any_work(tmp_path, capsys,
+                                                                  monkeypatch, command, path):
+    # an empty path, or one ending in a separator, names no file to write
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("f\n")
+
+    def no_game():
+        raise AssertionError("built the game before checking the outputs")
+
+    monkeypatch.setattr("seqform.cli.kuhn_poker", no_game)
+    assert main([*command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and f"{path!r}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert read(tmp_path / "f") == "f\n"
+
+
 def test_solve_reruns_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["solve", "--builtin", "kuhn", "--epsilon", "1e-2"]
@@ -463,14 +491,17 @@ def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch, capsys):
     game = SequenceFormGame.from_dict(json.loads(read(tmp_path / "rm.json")))
     assert game.A.triplets() == random_matrix_game(8, 8, 3).A.triplets()
     capsys.readouterr()
-    assert main(["make-game", "kuhn", "--rows", "5", "--seed", "9", "--out", "kuhn.json"]) == 2
-    assert capsys.readouterr().err == "error: kuhn takes no --rows, --seed\n"
+    with pytest.raises(SystemExit) as err:
+        main(["make-game", "kuhn", "--rows", "5", "--seed", "9", "--out", "kuhn.json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --rows 5 --seed 9" in capsys.readouterr().err
     for flag in ("--rows", "--cols", "--seed"):
-        assert main(["make-game", "kuhn", flag, "5", "--out", "kuhn.json"]) == 2
-        for argv in (["solve", "rm.json", flag, "3"], ["solve", "--builtin", "kuhn", flag, "3"]):
+        for argv in (["make-game", "kuhn", flag, "5", "--out", "kuhn.json"],
+                     ["solve", "rm.json", flag, "3"], ["solve", "--builtin", "kuhn", flag, "3"]):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["rm.json"]
 
 
@@ -498,9 +529,12 @@ def test_manifest_names_the_game_by_file_hash_or_builtin_kuhn(tmp_path, monkeypa
 
 def test_solve_source_conflicts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["solve"]) == 2
-    assert main(["solve", "game.json", "--builtin", "kuhn"]) == 2
-    assert capsys.readouterr().err.count("exactly one of a game file or --builtin kuhn") == 2
+    for argv in (["solve"], ["solve", "game.json", "--builtin", "kuhn"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    assert capsys.readouterr().err.count(
+        "seqform solve: error: give exactly one of a game file or --builtin kuhn") == 2
     # a random matrix game is solved from the file make-game writes
     with pytest.raises(SystemExit) as err:
         main(["solve", "--builtin", "random-matrix"])
