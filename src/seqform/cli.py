@@ -17,7 +17,8 @@ as {"path", "sha256"} or {"builtin": "kuhn"}.
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
 4 numerical divergence. I/O failures exit 1. The argument parser
-reports every usage error. Both commands check their outputs before
+reports every usage error, an unknown word with the usage line of the
+sub-command it follows. Both commands check their outputs before
 any work is done, and refuse with nothing written an output that is
 the game file or another output, whether named by path or reached by
 a hard link (exit 2), or that is empty, ends in a path separator, is
@@ -217,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("validate", formatter_class=fmt, help="check a sequence-form JSON file")
     va.add_argument("game", help="path to the game file")
-    va.set_defaults(func=cmd_validate)
+    va.set_defaults(func=cmd_validate, error=va.error)
 
     so = sub.add_parser("solve", formatter_class=fmt,
                         help="solve a game and write report and trace")
@@ -291,12 +292,7 @@ def _report_dict(report: SolveReport, manifest: dict) -> dict:
         "residual": None if report.residual == math.inf else report.residual,
         "value": report.value,
         "duality_gap": report.duality_gap,
-        "feas": {
-            "feas_x": report.feas.feas_x,
-            "feas_y": report.feas.feas_y,
-            "min_x": report.feas.min_x,
-            "min_y": report.feas.min_y,
-        },
+        "feas": report.feas._asdict(),
         "manifest": manifest,
     }
 
@@ -373,7 +369,9 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -48,7 +48,6 @@ Node = Union[Terminal, Chance, Decision]
 class InfosetInfo(NamedTuple):
     player: int
     num_actions: int
-    num_nodes: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +67,7 @@ class ExtensiveFormGame:
                 stack.extend(child for _, child in reversed(node.actions))
 
     def validate(self) -> dict[str, InfosetInfo]:
-        """Check tree-level rules and return the information set table."""
+        """Check tree-level rules; return each information set's player and action count."""
         table: dict[str, InfosetInfo] = {}
         for node in self.iter_nodes():
             if isinstance(node, Terminal):
@@ -91,15 +90,13 @@ class ExtensiveFormGame:
                     raise StructureError(f"information set '{node.infoset}' has no actions")
                 info = table.get(node.infoset)
                 if info is None:
-                    table[node.infoset] = InfosetInfo(node.player, len(node.actions), 1)
-                else:
-                    if info.player != node.player:
-                        raise StructureError(
-                            f"information set '{node.infoset}' is shared between players")
-                    if info.num_actions != len(node.actions):
-                        raise StructureError(
-                            f"information set '{node.infoset}' has inconsistent action counts")
-                    table[node.infoset] = info._replace(num_nodes=info.num_nodes + 1)
+                    table[node.infoset] = InfosetInfo(node.player, len(node.actions))
+                elif info.player != node.player:
+                    raise StructureError(
+                        f"information set '{node.infoset}' is shared between players")
+                elif info.num_actions != len(node.actions):
+                    raise StructureError(
+                        f"information set '{node.infoset}' has inconsistent action counts")
             else:
                 raise StructureError(f"unknown node type {type(node).__name__}")
         return table
@@ -117,15 +114,11 @@ class SequenceMap:
 
     sequences[k][0] is None (the empty sequence); every later entry
     names the information set, action index, and parent sequence that
-    the index extends. infoset_rows[k] maps information set ids to
-    their constraint rows.
+    the index extends. An information set's constraint row is its
+    position in the game's labels["infosets1"] or ["infosets2"].
     """
 
     sequences: tuple
-    infoset_rows: tuple
-
-    def num_sequences(self, player: int) -> int:
-        return len(self.sequences[player - 1])
 
 
 _KUHN_RANK = {"J": 0, "Q": 1, "K": 2}
@@ -242,11 +235,7 @@ def to_sequence_form(efg: ExtensiveFormGame) -> tuple[SequenceFormGame, Sequence
             "sequences1": labels[0], "sequences2": labels[1],
             "infosets1": iset_labels[0], "infosets2": iset_labels[1],
         })
-    seqmap = SequenceMap(
-        sequences=(tuple(seqs[0]), tuple(seqs[1])),
-        infoset_rows=({h: r.row for h, r in regs[0].items()},
-                      {h: r.row for h, r in regs[1].items()}))
-    return game, seqmap
+    return game, SequenceMap(sequences=(tuple(seqs[0]), tuple(seqs[1])))
 
 
 def simplex_game(A: SparseMatrix) -> SequenceFormGame:

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -211,8 +210,7 @@ class TracePoint:
     the last iterate's p and -q, the root constraints' multipliers, each
     an estimate of the game's value. feas_x, feas_y, min_x and min_y are
     the last iterate's feasibility residuals (FeasibilityResiduals).
-    elapsed is the seconds since solve started, init included; it stays
-    in memory, and the CLI writes no clock reading to any file.
+    No field is a clock reading: the solver reads no clock.
     """
 
     iter: int
@@ -225,7 +223,6 @@ class TracePoint:
     feas_y: float
     min_x: float
     min_y: float
-    elapsed: float
 
 
 @dataclass
@@ -375,7 +372,7 @@ def ergodic_average(state: SolverState) -> Quadruplet:
     return state.blocks(state.z_sum / state.k)
 
 
-def _trace_point(state, game, t0, res):
+def _trace_point(state, game, res):
     """Evaluate the state the way a trace point and the report show it.
 
     Returns the TracePoint after state.steps steps and the evaluation
@@ -392,8 +389,7 @@ def _trace_point(state, game, t0, res):
     point = TracePoint(
         iter=state.steps, residual=res, duality_gap=gap, value=value,
         p0=float(state.p[0]), neg_q0=float(-state.q[0]),
-        feas_x=feas.feas_x, feas_y=feas.feas_y, min_x=feas.min_x, min_y=feas.min_y,
-        elapsed=time.perf_counter() - t0)
+        feas_x=feas.feas_x, feas_y=feas.feas_y, min_x=feas.min_x, min_y=feas.min_y)
     return point, (x_plan, y_plan, value, gap, feas)
 
 
@@ -453,7 +449,6 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     if config is None:
         config = SolverConfig()
     epsilon, max_iter, trace_every = config.epsilon, config.max_iter, config.trace_every
-    t0 = time.perf_counter()
     state = init(game)
     trace: list[TracePoint] = []
     restarts: list[int] = []
@@ -464,7 +459,7 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         res = residual(state)
         done = res < epsilon or state.steps >= max_iter
         if done or (trace_every and state.steps % trace_every == 0):
-            point, evaluation = _trace_point(state, game, t0, res)
+            point, evaluation = _trace_point(state, game, res)
             if trace_every:
                 trace.append(point)
         if done:

@@ -41,10 +41,7 @@ from .errors import DimensionError, FileFormatError
 
 # np.einsum's kernel, called without np.einsum's dispatch, which costs
 # about 1.7 us a call: as long again as a small game's inner product
-try:
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum as _einsum
+from numpy._core.multiarray import c_einsum as _einsum
 
 # A list or tuple [row, col, value]: integer indices and a real value, no bool.
 Triplet = tuple[int, int, float]

@@ -223,10 +223,6 @@ class TreeplexIndex:
     topo: tuple
     levels: tuple["TreeplexLevel", ...] = field(compare=False, repr=False)
 
-    @property
-    def num_infosets(self) -> int:
-        return len(self.topo)
-
     @functools.cached_property
     def children(self) -> tuple:
         blocks = [b for lv in self.levels for b in np.split(lv.seqs, lv.starts[1:])]

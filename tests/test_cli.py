@@ -331,6 +331,7 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
     assert list(doc.keys()) == [
         "converged", "iterations", "epsilon", "lambda", "norm_K", "residual",
         "value", "duality_gap", "feas", "manifest"]
+    assert list(doc["feas"].keys()) == ["feas_x", "feas_y", "min_x", "min_y"]
     assert doc["converged"] is True
     assert doc["epsilon"] == 0.01
     assert abs(doc["value"] + 1.0 / 18.0) < 0.01
@@ -505,6 +506,25 @@ def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rm.json"]
 
 
+@pytest.mark.parametrize("argv, command, words", [
+    (["make-game", "kuhn", "--rows", "5", "--out", "k.json"], "make-game kuhn", "--rows 5"),
+    (["make-game", "random-matrix", "--rows", "2", "--cols", "2", "--out", "x.json", "extra"],
+     "make-game random-matrix", "extra"),
+    (["validate", "--bogus", "g.json"], "validate", "--bogus"),
+    (["solve", "--builtin", "kuhn", "--bogus"], "solve", "--bogus"),
+], ids=["make-game-kuhn", "make-game-random-matrix", "validate", "solve"])
+def test_unknown_word_shows_its_sub_command_usage(tmp_path, monkeypatch, capsys,
+                                                  argv, command, words):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: seqform {command} ")
+    assert f"unrecognized arguments: {words}" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def seed_keys(doc, where=""):
     """Every place a key named seed appears in a JSON document, as dotted paths."""
     if not isinstance(doc, dict):
@@ -568,13 +588,14 @@ def test_help_lists_the_three_commands(capsys):
 
 def test_main_calls_share_one_parser(tmp_path, monkeypatch):
     parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def record(self, *args, **kwargs):
-        parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+        if self.prog == "seqform":  # argparse calls each sub-parser's too
+            parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", record)
     out = str(tmp_path / "kuhn.json")
     assert main(["make-game", "kuhn", "--out", out]) == 0
     assert main(["validate", out]) == 0
@@ -745,7 +766,7 @@ def test_render_json_round_trips_doubles():
 def test_write_trace_csv_golden(tmp_path):
     point = TracePoint(iter=3, residual=0.5, duality_gap=0.25, value=-1.0 / 18.0,
                        p0=1.0, neg_q0=-1.0, feas_x=0.0, feas_y=0.0,
-                       min_x=0.0, min_y=-0.125, elapsed=0.25)
+                       min_x=0.0, min_y=-0.125)
     path = tmp_path / "t.csv"
     write_trace_csv(str(path), [point])
     assert read(path).splitlines() == [

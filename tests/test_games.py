@@ -43,16 +43,18 @@ def test_kuhn_tree_shape(kuhn):
     table = efg.validate()
     assert len(table) == 12
     assert all(info.num_actions == 2 for info in table.values())
-    assert all(info.num_nodes == 2 for info in table.values())
     assert sum(info.player == 1 for info in table.values()) == 6
 
 
 def test_kuhn_compiled_dimensions(kuhn):
     _, game, seqmap = kuhn
     assert (game.n1, game.n2, game.l1, game.l2) == (13, 13, 7, 7)
-    assert seqmap.num_sequences(1) == 13
-    assert seqmap.num_sequences(2) == 13
-    assert sorted(seqmap.infoset_rows[0].values()) == [1, 2, 3, 4, 5, 6]
+    assert len(seqmap.sequences[0]) == 13
+    assert len(seqmap.sequences[1]) == 13
+    # player 1's six information sets hold constraint rows 1-6, row 0 the root's
+    infosets1 = game.labels["infosets1"]
+    assert len(infosets1) == 7 and infosets1[0] == ""
+    assert len(set(infosets1[1:])) == 6 and all(h.startswith("1:") for h in infosets1[1:])
     assert seqmap.sequences[0][0] is None
     assert seqmap.sequences[0][1] == SequenceEntry("1:J:", 0, 0)
     assert game.labels["sequences1"][:5] == [

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -470,6 +471,18 @@ def test_trace_schedule(kuhn):
     assert report.trace == []
 
 
+def test_solve_reads_no_clock(kuhn, monkeypatch):
+    # a rerun's outputs then cannot depend on when it ran
+    def no_clock():
+        raise AssertionError("solve read a clock")
+
+    for name in ("perf_counter", "monotonic", "time", "process_time"):
+        monkeypatch.setattr(time, name, no_clock)
+    _, game, _ = kuhn
+    report = solve(game, SolverConfig(epsilon=1e-4, trace_every=50))
+    assert report.converged and report.trace
+
+
 def test_final_trace_point_matches_report(pennies):
     report = solve(pennies, SolverConfig(epsilon=1e-3, trace_every=100))
     last = report.trace[-1]
@@ -677,7 +690,7 @@ def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
             return product(self, v)
 
         monkeypatch.setattr(SparseMatrix, name, counted)
-    solver_module._trace_point(state, game, 0.0, residual(state))
+    solver_module._trace_point(state, game, residual(state))
     assert 0 < len(products) <= 5
     assert all(m is state.K for m in products)
 

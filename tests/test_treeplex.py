@@ -98,7 +98,7 @@ def test_simplex_index():
     index = build_treeplex_index(E, np.ones(1))
     assert index.simplex
     assert index.num_sequences == 4
-    assert index.num_infosets == 1
+    assert len(index.topo) == 1
     assert index.children == ((0, 1, 2, 3),)
     assert index.parent_seq == (None,)
 
@@ -132,7 +132,7 @@ def test_two_level_index():
 def test_kuhn_index_structure(kuhn):
     _, game, _ = kuhn
     idx1, idx2 = game.index1, game.index2
-    assert idx1.num_infosets == 6 and idx2.num_infosets == 6
+    assert len(idx1.topo) == 6 and len(idx2.topo) == 6
     # player 1's bet-facing infosets hang off the matching check sequence
     assert idx1.parent_seq == (0, 1, 0, 5, 0, 9)
     assert idx1.topo == (0, 2, 4, 1, 3, 5)
@@ -288,9 +288,9 @@ def _ref_build_treeplex_index(E, e):
         return _ref_index(num_sequences=n, simplex=True, parent_seq=(None,),
                           children=(tuple(range(n)),), topo=(0,))
     entries = _ref_nonzero_triplets(E)
-    num_infosets = E.rows - 1
-    parent_seq = [0] * num_infosets
-    children: list[list[int]] = [[] for _ in range(num_infosets)]
+    infosets = E.rows - 1
+    parent_seq = [0] * infosets
+    children: list[list[int]] = [[] for _ in range(infosets)]
     owner = {0: 0}
     for r, c, v in entries:
         if r == 0:
@@ -317,7 +317,7 @@ def _ref_build_treeplex_index(E, e):
 
     for r in range(1, E.rows):
         row_depth(r)
-    topo = tuple(sorted(range(num_infosets), key=lambda i: (depth[i + 1], i)))
+    topo = tuple(sorted(range(infosets), key=lambda i: (depth[i + 1], i)))
     return _ref_index(num_sequences=n, simplex=False, parent_seq=tuple(parent_seq),
                       children=tuple(tuple(cs) for cs in children), topo=topo)
 
@@ -433,7 +433,7 @@ def test_validation_and_index_run_in_linear_time():
     assert validate_sequence_form(game) == []
     indexes = (game.index1, game.index2)
     elapsed = time.perf_counter() - start
-    assert all(index.num_infosets == infosets for index in indexes)
+    assert all(len(index.topo) == infosets for index in indexes)
     # linear decoding takes well under 0.1 s here; rescanning the entries per row
     # (the reference decoder above) takes tens of seconds
     assert elapsed < 2.0
@@ -656,7 +656,7 @@ def test_best_response_dominates_feasible_points(seed):
 def _reference_best_response(index, g, sense):
     # the set-by-set sweep that the level-by-level best_response replaced
     val = np.array(g, dtype=np.float64)
-    choice = [0] * index.num_infosets
+    choice = [0] * len(index.topo)
     for i in reversed(index.topo):
         best = -1
         for c in index.children[i]:
