@@ -18,11 +18,12 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
 4 numerical divergence. I/O failures exit 1. The argument parser
 reports every usage error, an unknown word with the usage line of the
-sub-command it follows. Both commands check their outputs before
-any work is done, and refuse with nothing written an output that is
-the game file or another output, whether named by path or reached by
-a hard link (exit 2), or that is empty, ends in a path separator, is
-an existing directory or lies in a missing one (exit 1).
+sub-command it follows, or with the top-level one if it comes before
+the sub-command. Both commands check their outputs before any work is
+done, and refuse with nothing written an output that is the game file
+or another output, whether named by path or reached by a hard link
+(exit 2), or that is empty, ends in a path separator, is an existing
+directory or lies in a missing one (exit 1).
 """
 
 from __future__ import annotations
@@ -369,9 +370,13 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        args.error(f"unrecognized arguments: {' '.join(extra)}")
+        # the top-level parser's leftovers come first, each one before the sub-command
+        error = parser.error if extra[0] in argv[:argv.index(args.command)] else args.error
+        error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -2,9 +2,10 @@
 
 The extensive form is a plain tree of chance, decision, and terminal
 nodes, with decision nodes grouped into information sets by string ids.
-Compilation walks the tree once, assigns sequence indexes to the players
-in discovery order (the empty sequence is index 0), and accumulates
-chance-weighted payoffs into the sparse payoff matrix.
+Compilation walks the tree once, checks each node, assigns sequence
+indexes to the players in discovery order (the empty sequence is index
+0), and accumulates chance-weighted payoffs into the sparse payoff
+matrix.
 
 Kuhn poker is the built-in worked example: three cards, one dealt to
 each player, a single round with a one-chip bet where a player facing a
@@ -45,61 +46,11 @@ class Decision:
 Node = Union[Terminal, Chance, Decision]
 
 
-class InfosetInfo(NamedTuple):
-    player: int
-    num_actions: int
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensiveFormGame:
     """A two-player zero-sum game tree; payoffs go to player 1."""
 
     root: Node
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, Chance):
-                stack.extend(child for _, child in reversed(node.outcomes))
-            elif isinstance(node, Decision):
-                stack.extend(child for _, child in reversed(node.actions))
-
-    def validate(self) -> dict[str, InfosetInfo]:
-        """Check tree-level rules; return each information set's player and action count."""
-        table: dict[str, InfosetInfo] = {}
-        for node in self.iter_nodes():
-            if isinstance(node, Terminal):
-                if not np.isfinite(node.payoff):
-                    raise StructureError("terminal payoff must be finite")
-            elif isinstance(node, Chance):
-                if not node.outcomes:
-                    raise StructureError("chance node must have at least one outcome")
-                probs = [p for p, _ in node.outcomes]
-                # not p >= 0 refuses a NaN too, which passes p < 0 and the sum check
-                if any(not p >= 0 for p in probs):
-                    raise StructureError("chance probabilities must be nonnegative")
-                if abs(sum(probs) - 1.0) > _CHANCE_SUM_TOL:
-                    raise StructureError(
-                        f"chance probabilities sum to {sum(probs)!r}, expected 1")
-            elif isinstance(node, Decision):
-                if node.player not in (1, 2):
-                    raise StructureError(f"decision player must be 1 or 2, got {node.player}")
-                if not node.actions:
-                    raise StructureError(f"information set '{node.infoset}' has no actions")
-                info = table.get(node.infoset)
-                if info is None:
-                    table[node.infoset] = InfosetInfo(node.player, len(node.actions))
-                elif info.player != node.player:
-                    raise StructureError(
-                        f"information set '{node.infoset}' is shared between players")
-                elif info.num_actions != len(node.actions):
-                    raise StructureError(
-                        f"information set '{node.infoset}' has inconsistent action counts")
-            else:
-                raise StructureError(f"unknown node type {type(node).__name__}")
-        return table
 
 
 class SequenceEntry(NamedTuple):
@@ -164,53 +115,67 @@ class _Registration(NamedTuple):
 
 
 def to_sequence_form(efg: ExtensiveFormGame) -> tuple[SequenceFormGame, SequenceMap]:
-    """Compile an extensive-form game to sequence form.
+    """Check an extensive-form game and compile it to sequence form.
 
-    Sequence indexes are assigned in depth-first discovery order, the
-    empty sequence first. Requires perfect recall: every node of an
-    information set must be reached with the same sequence of own
-    actions, otherwise compilation fails naming the offending set.
+    One depth-first walk with an explicit stack, so the tree's depth is
+    unbounded, checks each node as it reaches it: a malformed node
+    raises StructureError. Sequence indexes are assigned in discovery
+    order, the empty sequence first. Requires perfect recall: every node
+    of an information set must be reached with the same sequence of own
+    actions, otherwise CompileError names the offending set.
     """
-    efg.validate()
     seqs: list[list] = [[None], [None]]
     regs: list[dict[str, _Registration]] = [{}, {}]
     labels: list[list[str]] = [[""], [""]]
     iset_labels: list[list[str]] = [[""], [""]]
     payoff: dict[tuple[int, int], float] = {}
-
-    def visit(node: Node, cur1: int, cur2: int, prob: float) -> None:
+    stack = [(efg.root, (0, 0), 1.0)]  # node, both players' current sequences, reach
+    while stack:
+        node, cur, prob = stack.pop()
         if isinstance(node, Terminal):
-            key = (cur1, cur2)
-            payoff[key] = payoff.get(key, 0.0) + prob * node.payoff
-            return
-        if isinstance(node, Chance):
-            for p, child in node.outcomes:
-                visit(child, cur1, cur2, prob * p)
-            return
-        k = node.player - 1
-        cur = cur1 if k == 0 else cur2
-        reg = regs[k].get(node.infoset)
-        if reg is None:
-            first = len(seqs[k])
-            reg = _Registration(row=len(regs[k]) + 1, parent=cur,
-                                first_seq=first, num_actions=len(node.actions))
-            regs[k][node.infoset] = reg
-            iset_labels[k].append(node.infoset)
-            for a, (label, _) in enumerate(node.actions):
-                seqs[k].append(SequenceEntry(node.infoset, a, cur))
-                labels[k].append(f"{node.infoset}/{label}")
-        elif reg.parent != cur:
-            raise CompileError(
-                f"information set '{node.infoset}' is reached with different own "
-                f"histories; perfect recall is required")
-        for a, (_, child) in enumerate(node.actions):
-            nxt = reg.first_seq + a
-            if k == 0:
-                visit(child, nxt, cur2, prob)
-            else:
-                visit(child, cur1, nxt, prob)
-
-    visit(efg.root, 0, 0, 1.0)
+            if not np.isfinite(node.payoff):
+                raise StructureError("terminal payoff must be finite")
+            payoff[cur] = payoff.get(cur, 0.0) + prob * node.payoff
+        elif isinstance(node, Chance):
+            if not node.outcomes:
+                raise StructureError("chance node must have at least one outcome")
+            probs = [p for p, _ in node.outcomes]
+            # not p >= 0 refuses a NaN too, which passes p < 0 and the sum check
+            if any(not p >= 0 for p in probs):
+                raise StructureError("chance probabilities must be nonnegative")
+            if abs(sum(probs) - 1.0) > _CHANCE_SUM_TOL:
+                raise StructureError(f"chance probabilities sum to {sum(probs)!r}, expected 1")
+            stack.extend((child, cur, prob * p) for p, child in reversed(node.outcomes))
+        elif isinstance(node, Decision):
+            if node.player not in (1, 2):
+                raise StructureError(f"decision player must be 1 or 2, got {node.player}")
+            if not node.actions:
+                raise StructureError(f"information set '{node.infoset}' has no actions")
+            k = node.player - 1
+            if node.infoset in regs[1 - k]:
+                raise StructureError(f"information set '{node.infoset}' is shared between players")
+            reg = regs[k].get(node.infoset)
+            if reg is None:
+                reg = _Registration(row=len(regs[k]) + 1, parent=cur[k],
+                                    first_seq=len(seqs[k]), num_actions=len(node.actions))
+                regs[k][node.infoset] = reg
+                iset_labels[k].append(node.infoset)
+                for a, (label, _) in enumerate(node.actions):
+                    seqs[k].append(SequenceEntry(node.infoset, a, cur[k]))
+                    labels[k].append(f"{node.infoset}/{label}")
+            elif reg.num_actions != len(node.actions):
+                raise StructureError(
+                    f"information set '{node.infoset}' has inconsistent action counts")
+            elif reg.parent != cur[k]:
+                raise CompileError(
+                    f"information set '{node.infoset}' is reached with different own "
+                    f"histories; perfect recall is required")
+            for a in reversed(range(reg.num_actions)):
+                seq = reg.first_seq + a
+                nxt = (seq, cur[1]) if k == 0 else (cur[0], seq)
+                stack.append((node.actions[a][1], nxt, prob))
+        else:
+            raise StructureError(f"unknown node type {type(node).__name__}")
 
     matrices = []
     vectors = []

@@ -184,8 +184,16 @@ def all_pure_strategies(efg: ExtensiveFormGame, player: int):
     """Every pure strategy of a player as an infoset -> action dict."""
     import itertools
 
-    table = efg.validate()
-    ids = sorted(h for h, info in table.items() if info.player == player)
-    counts = [table[h].num_actions for h in ids]
-    for combo in itertools.product(*(range(c) for c in counts)):
+    table = {}  # the player's information sets and their action counts
+    stack = [efg.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Chance):
+            stack.extend(child for _, child in node.outcomes)
+        elif isinstance(node, Decision):
+            if node.player == player:
+                table[node.infoset] = len(node.actions)
+            stack.extend(child for _, child in node.actions)
+    ids = sorted(table)
+    for combo in itertools.product(*(range(table[h]) for h in ids)):
         yield dict(zip(ids, combo))

@@ -512,7 +512,11 @@ def test_seed_picks_only_the_random_matrix_game(tmp_path, monkeypatch, capsys):
      "make-game random-matrix", "extra"),
     (["validate", "--bogus", "g.json"], "validate", "--bogus"),
     (["solve", "--builtin", "kuhn", "--bogus"], "solve", "--bogus"),
-], ids=["make-game-kuhn", "make-game-random-matrix", "validate", "solve"])
+    # a word before the sub-command is the top-level command's
+    (["--bogus", "make-game", "kuhn", "--out", "k.json"], "", "--bogus"),
+    (["--bogus", "solve", "--builtin", "kuhn", "--also"], "", "--bogus --also"),
+], ids=["make-game-kuhn", "make-game-random-matrix", "validate", "solve",
+        "before-make-game", "before-and-after-solve"])
 def test_unknown_word_shows_its_sub_command_usage(tmp_path, monkeypatch, capsys,
                                                   argv, command, words):
     monkeypatch.chdir(tmp_path)
@@ -520,7 +524,8 @@ def test_unknown_word_shows_its_sub_command_usage(tmp_path, monkeypatch, capsys,
         main(argv)
     assert err.value.code == 2
     stderr = capsys.readouterr().err
-    assert stderr.startswith(f"usage: seqform {command} ")
+    assert stderr.startswith(f"usage: seqform {command} " if command else
+                             "usage: seqform [-h] [--version] {make-game,validate,solve} ...\n")
     assert f"unrecognized arguments: {words}" in stderr
     assert list(tmp_path.iterdir()) == []
 

@@ -1,5 +1,7 @@
 """Game tree validation, Kuhn poker, and sequence-form compilation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,15 @@ KUHN_EQUILIBRIUM_P2 = {
 
 
 def test_kuhn_tree_shape(kuhn):
-    efg, _, _ = kuhn
-    terminals = [n for n in efg.iter_nodes() if isinstance(n, Terminal)]
-    assert len(terminals) == 30
-    table = efg.validate()
-    assert len(table) == 12
-    assert all(info.num_actions == 2 for info in table.values())
-    assert sum(info.player == 1 for info in table.values()) == 6
+    _, game, _ = kuhn
+    # each of the 30 terminals ends a distinct pair of sequences
+    assert game.A.nnz == 30
+    for k in (1, 2):
+        infosets = game.labels[f"infosets{k}"][1:]
+        assert len(set(infosets)) == 6 and all(h.startswith(f"{k}:") for h in infosets)
+        # after the empty sequence, two sequences "set/action" per information set
+        sequences = game.labels[f"sequences{k}"][1:]
+        assert Counter(s.rsplit("/", 1)[0] for s in sequences) == dict.fromkeys(infosets, 2)
 
 
 def test_kuhn_compiled_dimensions(kuhn):
@@ -97,39 +101,53 @@ def test_kuhn_equilibrium_guarantee_against_all_vertices(kuhn):
 
 def test_chance_probability_validation():
     with pytest.raises(StructureError, match="sum to"):
-        ExtensiveFormGame(Chance(((0.6, Terminal(0.0)), (0.6, Terminal(0.0))))).validate()
+        to_sequence_form(ExtensiveFormGame(Chance(((0.6, Terminal(0.0)), (0.6, Terminal(0.0))))))
     with pytest.raises(StructureError, match="nonnegative"):
-        ExtensiveFormGame(Chance(((-0.5, Terminal(0.0)), (1.5, Terminal(0.0))))).validate()
+        to_sequence_form(ExtensiveFormGame(Chance(((-0.5, Terminal(0.0)), (1.5, Terminal(0.0))))))
     with pytest.raises(StructureError, match="nonnegative"):
-        ExtensiveFormGame(Chance(((np.nan, Terminal(0.0)), (1.0, Terminal(0.0))))).validate()
+        to_sequence_form(ExtensiveFormGame(Chance(((np.nan, Terminal(0.0)), (1.0, Terminal(0.0))))))
     with pytest.raises(StructureError, match="at least one outcome"):
-        ExtensiveFormGame(Chance(())).validate()
+        to_sequence_form(ExtensiveFormGame(Chance(())))
 
 
 def test_decision_validation():
     with pytest.raises(StructureError, match="player must be 1 or 2"):
-        ExtensiveFormGame(Decision(3, "s", (("a", Terminal(0.0)),))).validate()
+        to_sequence_form(ExtensiveFormGame(Decision(3, "s", (("a", Terminal(0.0)),))))
     with pytest.raises(StructureError, match="no actions"):
-        ExtensiveFormGame(Decision(1, "s", ())).validate()
+        to_sequence_form(ExtensiveFormGame(Decision(1, "s", ())))
     shared = Chance((
         (0.5, Decision(1, "s", (("a", Terminal(0.0)),))),
         (0.5, Decision(2, "s", (("a", Terminal(0.0)),))),
     ))
     with pytest.raises(StructureError, match="shared between players"):
-        ExtensiveFormGame(shared).validate()
+        to_sequence_form(ExtensiveFormGame(shared))
     uneven = Chance((
         (0.5, Decision(1, "s", (("a", Terminal(0.0)),))),
         (0.5, Decision(1, "s", (("a", Terminal(0.0)), ("b", Terminal(0.0))))),
     ))
     with pytest.raises(StructureError, match="inconsistent action counts"):
-        ExtensiveFormGame(uneven).validate()
+        to_sequence_form(ExtensiveFormGame(uneven))
 
 
 def test_terminal_and_node_validation():
     with pytest.raises(StructureError, match="finite"):
-        ExtensiveFormGame(Terminal(float("inf"))).validate()
-    with pytest.raises(StructureError, match="unknown node type"):
-        ExtensiveFormGame("boom").validate()
+        to_sequence_form(ExtensiveFormGame(Terminal(float("inf"))))
+    for root in ("boom", Chance(((0.5, Terminal(0.0)), (0.5, "boom"))),
+                 Decision(1, "s", (("a", Terminal(0.0)), ("b", None)))):
+        with pytest.raises(StructureError, match="unknown node type"):
+            to_sequence_form(ExtensiveFormGame(root))
+
+
+def test_a_deep_chain_compiles():
+    # 3,000 nested decisions, far past Python's recursion limit
+    node = Terminal(1.0)
+    for i in reversed(range(3000)):
+        node = Decision(1 + i % 2, f"d{i}", (("stop", Terminal(0.0)), ("go", node)))
+    game, seqmap = to_sequence_form(ExtensiveFormGame(node))
+    assert (game.n1, game.n2, game.l1, game.l2) == (3001, 3001, 1501, 1501)
+    assert game.A.nnz == 3001  # one entry per terminal
+    assert seqmap.sequences[1][-1] == SequenceEntry("d2999", 1, 2998)
+    assert game.A.triplets()[-1] == (3000, 3000, 1.0)
 
 
 def test_perfect_recall_required():
