@@ -14,8 +14,10 @@ bet either calls for a two-chip showdown or folds.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -107,6 +109,25 @@ def kuhn_poker() -> ExtensiveFormGame:
     return ExtensiveFormGame(root=Chance(tuple(deals)))
 
 
+def _as_float(value) -> Optional[float]:
+    """value as a float, inf past the largest double; None unless a real number.
+
+    A bool, though an int, is not a number here.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest double
+        return math.inf if value > 0 else -math.inf
+
+
+def _are_pairs(items) -> bool:
+    """Whether items is a tuple or list of two-item tuples or lists."""
+    return isinstance(items, (tuple, list)) and all(
+        isinstance(item, (tuple, list)) and len(item) == 2 for item in items)
+
+
 class _Registration(NamedTuple):
     row: int
     parent: int
@@ -133,22 +154,39 @@ def to_sequence_form(efg: ExtensiveFormGame) -> tuple[SequenceFormGame, Sequence
     while stack:
         node, cur, prob = stack.pop()
         if isinstance(node, Terminal):
-            if not np.isfinite(node.payoff):
+            value = _as_float(node.payoff)
+            if value is None:
+                raise StructureError(
+                    f"terminal payoff must be a number, got {type(node.payoff).__name__}")
+            if not math.isfinite(value):
                 raise StructureError("terminal payoff must be finite")
-            payoff[cur] = payoff.get(cur, 0.0) + prob * node.payoff
+            payoff[cur] = payoff.get(cur, 0.0) + prob * value
         elif isinstance(node, Chance):
+            if not _are_pairs(node.outcomes):
+                raise StructureError("chance outcomes must be a tuple of (probability, node) pairs")
             if not node.outcomes:
                 raise StructureError("chance node must have at least one outcome")
-            probs = [p for p, _ in node.outcomes]
+            probs = [_as_float(p) for p, _ in node.outcomes]
+            if None in probs:
+                raise StructureError("chance probabilities must be numbers")
             # not p >= 0 refuses a NaN too, which passes p < 0 and the sum check
             if any(not p >= 0 for p in probs):
                 raise StructureError("chance probabilities must be nonnegative")
             if abs(sum(probs) - 1.0) > _CHANCE_SUM_TOL:
                 raise StructureError(f"chance probabilities sum to {sum(probs)!r}, expected 1")
-            stack.extend((child, cur, prob * p) for p, child in reversed(node.outcomes))
+            stack.extend((child, cur, prob * p)
+                         for p, (_, child) in zip(reversed(probs), reversed(node.outcomes)))
         elif isinstance(node, Decision):
-            if node.player not in (1, 2):
-                raise StructureError(f"decision player must be 1 or 2, got {node.player}")
+            # the type first: 2.0 and True compare equal to a player but are not one
+            if (not isinstance(node.player, numbers.Integral) or isinstance(node.player, bool)
+                    or node.player not in (1, 2)):
+                raise StructureError(f"decision player must be 1 or 2, got {node.player!r}")
+            if not isinstance(node.infoset, str):
+                raise StructureError(
+                    f"information set id must be a string, got {type(node.infoset).__name__}")
+            if not _are_pairs(node.actions):
+                raise StructureError(f"actions of information set '{node.infoset}' must be "
+                                     f"a tuple of (label, node) pairs")
             if not node.actions:
                 raise StructureError(f"information set '{node.infoset}' has no actions")
             k = node.player - 1

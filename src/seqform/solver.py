@@ -6,7 +6,7 @@ vector z = (u, w). Each iteration computes a point T(z) = (u2, w1): a
 proximal step in u against g = K^T w gives u1, an ascent step in w
 against K u1 gives w1, and u2 corrects u1 by K^T of the change in w.
 The step then moves z past T(z), to z + rho (T(z) - z), with the
-relaxation factor rho = RHO = 1.5 (Chambolle and Pock, "On the ergodic
+relaxation factor rho = RHO = 1.7 (Chambolle and Pock, "On the ergodic
 convergence rates of a first-order primal-dual algorithm", Math.
 Program. 159, 2016; He and Yuan, SIAM J. Imaging Sci. 5, 2012, for
 factors in (0, 2)). The correction product also moves g to the new w,
@@ -41,6 +41,18 @@ its u part with lambda K^T (w1 - w), which the step computes anyway.
 At rho = 1 and lambda ||K|| <= 1 no term of E is positive, so the
 check holds: at the first step whose check fails, solve falls back to
 rho = 1 and restarts the averaging there, through the same code.
+
+Why rho = 1.7. Every factor in (0, 2) converges, and a larger one
+takes fewer iterations: Kuhn poker certifies 1e-4 in 398 at rho = 1,
+255 at 1.5 and 224 at 1.7. What bounds the factor is the window check.
+From 1.75 up it fails on the shifted 2x2 game of acceptance gate 4 near
+the rounding floor (about step 414 at 1.75 and 1.8, step 56 at 1.9),
+and that solve falls back to rho = 1. 1.7 is the largest factor on a
+0.05 grid from 1.5 at which every acceptance gate passes and no game of
+the iteration ledger or the benchmark falls back. On degenerate games
+the check can still fail at this factor: from 1.6 up the plain loop
+never certifies the 1x1 zero game, which solve certifies after falling
+back at step 3.
 
 The reported average. z_sum sums the points T(z), whose w part is P's
 and whose u part is P's less lambda K^T (w1 - w). Over a window these
@@ -91,7 +103,7 @@ from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
 # step's clipping bound: np.maximum takes a 0-d array faster than the float 0.0
 _ZERO = np.zeros(())
 # the relaxation factor: step moves z to z + RHO (T(z) - z)
-RHO = 1.5
+RHO = 1.7
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,9 @@ class SolverState:
     term's two coefficients; the u half of c over rho and the w half of
     c; the u and w halves of z; and a scratch buffer whose rows are
     T(z), its change t, which step scales to the change rho * t of z,
-    and (lam K^T t^w, 0), with the parts of them step writes. step is
-    the only writer in place, so the views stay valid.
+    and (lam K^T t^w, 0), with the parts of them step writes. step, and
+    _open_window on a state just built, write in place only into those
+    arrays, so the views stay valid.
     """
 
     K: SparseMatrix
@@ -259,10 +272,19 @@ class SolveReport:
     fallback_step: Optional[int] = None
 
 
-def _window(K: SparseMatrix, z0: np.ndarray, rho: float) -> dict:
-    """The fields of an averaging window that starts at z0, z = z0 included."""
-    return dict(z=z0, g=K.transpose_matvec(z0[K.cols:]) / rho, z_sum=np.zeros(z0.size),
-                z0=z0, k=0, E=0.0)
+def _open_window(state: SolverState) -> SolverState:
+    """Start state's averaging window at state.z0, in place, and return state.
+
+    z = z0, g = K^T w0 / rho, z_sum = 0 and k = E = 0. init opens the
+    first window at zero in a new state, and _restart each later one in
+    its own copy of the state.
+    """
+    K, z0 = state.K, state.z0
+    state.z[:] = z0
+    np.divide(K.transpose_matvec(z0[K.cols:]), state.rho, out=state.g)
+    state.z_sum.fill(0.0)
+    state.k, state.E = 0, 0.0
+    return state
 
 
 def init(game: SequenceFormGame) -> SolverState:
@@ -288,10 +310,11 @@ def init(game: SequenceFormGame) -> SolverState:
         raise InitializationError("operator norm estimate is not positive")
 
     c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
-    return SolverState(
-        K=K, c=c, bounds=tuple(accumulate((game.n2, game.l1, game.n1))),
-        lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0,
-        **_window(K, np.zeros(c.size), RHO))
+    zero = np.zeros(c.size)
+    return _open_window(SolverState(
+        K=K, z=zero, g=zero[:K.cols], c=c, z_sum=zero, z0=zero,
+        bounds=tuple(accumulate((game.n2, game.l1, game.n1))), k=0, E=0.0,
+        lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0))
 
 
 # overflow surfaces as the typed divergence error below, not a warning
@@ -372,6 +395,12 @@ def ergodic_average(state: SolverState) -> Quadruplet:
     return state.blocks(state.z_sum / state.k)
 
 
+def _pushed_average(state: SolverState, game: SequenceFormGame) -> tuple[np.ndarray, np.ndarray]:
+    """The plans (x, y) of the ergodic average, pushed onto the strategy polytopes."""
+    avg = ergodic_average(state)
+    return normalize_to_polytope(game.index1, avg.x), normalize_to_polytope(game.index2, avg.y)
+
+
 def _trace_point(state, game, res):
     """Evaluate the state the way a trace point and the report show it.
 
@@ -380,9 +409,7 @@ def _trace_point(state, game, res):
     pushed onto the polytopes, their value and duality gap, and the
     feasibility residuals of the last iterate.
     """
-    avg = ergodic_average(state)
-    x_plan = normalize_to_polytope(game.index1, avg.x)
-    y_plan = normalize_to_polytope(game.index2, avg.y)
+    x_plan, y_plan = _pushed_average(state, game)
     value = expected_value(game, x_plan, y_plan)
     gap = duality_gap(game, x_plan, y_plan)
     feas = feasibility_residuals(game, state.x, state.y)
@@ -402,21 +429,27 @@ def _window_check(state: SolverState) -> float:
     return state.E / half
 
 
-def _restart(state: SolverState, game: SequenceFormGame, rho: float) -> SolverState:
+def _restart(state: SolverState, game: SequenceFormGame, rho: float,
+             plans: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolverState:
     """A copy of state whose window, stepped at rho, starts at its ergodic average.
 
     The start is the average with its plans y and x pushed onto the
     strategy polytopes (normalize_to_polytope) and its multipliers p and
     q as they are; the window argument, and so the certificate, holds
-    from any start. Its window fields come from _window, as init's do; K
-    and its norm are kept, steps keeps counting, and state is left as it
+    from any start. plans, if given, are those pushed plans (x, y), as
+    _trace_point evaluated them for the same state; otherwise they are
+    pushed here, before the copy, so that their temporaries and the copy
+    are never held at once. The copy is made once, by replace, and
+    _open_window writes the window into it, as init's is written; K and
+    its norm are kept, steps keeps counting, and state is left as it
     was.
     """
-    z0 = state.z_sum / state.k
-    y, _, x, _ = state.blocks(z0)
-    y[:] = normalize_to_polytope(game.index2, y)
-    x[:] = normalize_to_polytope(game.index1, x)
-    return replace(state, rho=rho, **_window(state.K, z0, rho))
+    if plans is None:
+        plans = _pushed_average(state, game)
+    new = replace(state, rho=rho)
+    y, _, x, _ = new.blocks(np.divide(state.z_sum, state.k, out=new.z0))
+    x[:], y[:] = plans
+    return _open_window(new)
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -433,9 +466,10 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     gap are computed from the ergodic averages pushed back onto the
     strategy polytopes; the feasibility residuals describe the last
     iterate. init and each restart start a window through one function,
-    _window, and one site in the loop evaluates the state, _trace_point:
-    at the final step, for the report, and with trace_every > 0 every
-    trace_every iterations too, before a restart on the same step. With
+    _open_window, and one site in the loop evaluates the state,
+    _trace_point: at the final step, for the report, and with
+    trace_every > 0 every trace_every iterations too, before a restart on
+    the same step, which starts from the plans evaluated there. With
     trace_every > 0 each evaluated point is recorded in the trace, the
     final one included.
 
@@ -458,8 +492,10 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         step(state, game)
         res = residual(state)
         done = res < epsilon or state.steps >= max_iter
+        plans = None
         if done or (trace_every and state.steps % trace_every == 0):
             point, evaluation = _trace_point(state, game, res)
+            plans = evaluation[:2]
             if trace_every:
                 trace.append(point)
         if done:
@@ -469,14 +505,14 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             check = _window_check(state)
             if check > 1.0 and state.rho != 1.0:
                 window_checks.append(check)
-                state = _restart(state, game, 1.0)
+                state = _restart(state, game, 1.0, plans)
                 fallback_step = state.steps
                 reference = None
         elif reference is None:
             reference = res
         elif res <= 0.2 * reference:
             window_checks.append(_window_check(state))
-            state = _restart(state, game, state.rho)
+            state = _restart(state, game, state.rho, plans)
             restarts.append(state.steps)
             reference = res
 

@@ -625,18 +625,18 @@ def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_uncertified_last_step_is_written_as_inf_and_null(tmp_path, capsys, monkeypatch):
-    # at 1.3 / ||K|| the window check first fails at step 9: no certificate
+    # at 1.3 / ||K|| the window check first fails at step 8: no certificate
     from seqform import build_K, kuhn_poker, to_sequence_form
 
     game = to_sequence_form(kuhn_poker())[0]
     fixed_norm(monkeypatch, float(np.linalg.norm(build_K(game).to_dense(), 2)) / 1.3)
-    args = ["solve", "--builtin", "kuhn", "--max-iters", "9", "--trace-every", "1",
+    args = ["solve", "--builtin", "kuhn", "--max-iters", "8", "--trace-every", "1",
             "--report", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
     assert main(args) == 3
-    assert "not converged iterations=9 residual=inf " in capsys.readouterr().out
+    assert "not converged iterations=8 residual=inf " in capsys.readouterr().out
     assert json.loads(read(tmp_path / "report.json"))["residual"] is None
     rows = read(tmp_path / "trace.csv").splitlines()
-    assert [row.split(",")[1] == "inf" for row in rows[1:]] == [False] * 8 + [True]
+    assert [row.split(",")[1] == "inf" for row in rows[1:]] == [False] * 7 + [True]
 
 
 def test_summary_line_counts_restarts(tmp_path, capsys):
@@ -644,10 +644,10 @@ def test_summary_line_counts_restarts(tmp_path, capsys):
             "--report", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
     assert main(args) == 0
     summary = capsys.readouterr().out.strip()
-    assert summary.startswith("converged iterations=255 ")
+    assert summary.startswith("converged iterations=224 ")
     assert summary.endswith(" restarts=5")
-    assert main([*args, "--max-iters", "24"]) == 3
-    # the rule fires on step 24, but a capped run stops before restarting
+    assert main([*args, "--max-iters", "21"]) == 3
+    # the rule fires on step 21, but a capped run stops before restarting
     assert capsys.readouterr().out.strip().endswith(" restarts=0")
 
 

@@ -1,5 +1,6 @@
 """Game tree validation, Kuhn poker, and sequence-form compilation."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,29 @@ def test_terminal_and_node_validation():
                  Decision(1, "s", (("a", Terminal(0.0)), ("b", None)))):
         with pytest.raises(StructureError, match="unknown node type"):
             to_sequence_form(ExtensiveFormGame(root))
+
+
+@pytest.mark.parametrize("root, message", [
+    (Decision(2.0, "s", (("a", Terminal(0.0)),)), "decision player must be 1 or 2, got 2.0"),
+    (Decision(True, "s", (("a", Terminal(0.0)),)), "decision player must be 1 or 2, got True"),
+    (Decision(1, ["s"], (("a", Terminal(0.0)),)), "information set id must be a string"),
+    (Decision(1, "s", (Terminal(0.0),)), "actions of information set 's' must be a tuple of"),
+    (Decision(1, "s", (("a", Terminal(0.0), "b"),)), "actions of information set 's' must be"),
+    (Terminal("1"), "terminal payoff must be a number, got str"),
+    (Terminal(None), "terminal payoff must be a number, got NoneType"),
+    (Terminal(True), "terminal payoff must be a number, got bool"),
+    (Terminal(10**400), "terminal payoff must be finite"),
+    (Chance((("1", Terminal(0.0)),)), "chance probabilities must be numbers"),
+    (Chance(((10**400, Terminal(0.0)),)), "chance probabilities sum to inf"),
+    (Chance((Terminal(0.0),)), "chance outcomes must be a tuple of (probability, node) pairs"),
+    # a field is checked where the walk reaches its node, below the root too
+    (Chance(((1.0, Decision(1, "s", (("a", Terminal("1")),))),)), "terminal payoff"),
+], ids=["player-float", "player-bool", "infoset-list", "action-not-pair", "action-triple",
+        "payoff-str", "payoff-none", "payoff-bool", "payoff-past-double", "probability-str",
+        "probability-past-double", "outcome-not-pair", "nested"])
+def test_a_mistyped_node_field_is_a_structure_error(root, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        to_sequence_form(ExtensiveFormGame(root))
 
 
 def test_a_deep_chain_compiles():

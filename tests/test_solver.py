@@ -157,8 +157,8 @@ def test_window_identity(kuhn, monkeypatch, rho):
 
 @pytest.mark.filterwarnings("error")
 def test_failed_window_check_is_never_reported_converged(kuhn, monkeypatch):
-    # at lambda = 1.3 / ||K|| the check first fails at step 9, long before the
-    # plain iteration diverges at step 1967; residual is inf at every failing step
+    # at lambda = 1.3 / ||K|| the check first fails at step 8, long before the
+    # plain iteration diverges at step 1236; residual is inf at every failing step
     _, game, _ = kuhn
     fixed_norm(monkeypatch, exact_norm(game) / 1.3)
     state = init(game)
@@ -172,15 +172,15 @@ def test_failed_window_check_is_never_reported_converged(kuhn, monkeypatch):
             if state.E > half:
                 failed.append(state.steps)
                 assert residual(state) == math.inf
-    assert failed[0] == 9 < err.value.iteration == 1967
+    assert failed[0] == 8 < err.value.iteration == 1236
 
     # solve falls back to rho = 1 at that step, and the window it closes
     # there is the one whose check failed
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300, trace_every=1))
     assert not report.converged
-    assert report.fallback_step == 9
+    assert report.fallback_step == 8
     assert report.window_checks[0] > 1.0
-    assert report.trace[8].residual == math.inf
+    assert report.trace[7].residual == math.inf
     assert len(report.window_checks) == len(report.restarts) + 2
     for point in report.trace:
         assert not point.residual < 1e-4
@@ -412,26 +412,35 @@ def test_telescoping_identity():
     assert state.rho == 1.0 and state.steps == 600
 
 
-def test_trivial_game_convergence(trivial_game):
-    state = plain_iteration(trivial_game, 1e-2)
-    # the relaxed iterates circle into the fixed point (1, 0, 1, 0), their
-    # distance halving every step, so ||v|| tends to sqrt(2) and the
-    # residual to sqrt(2) / (1.5 k): 142 steps at rho = 1, 95 at rho = 1.5
-    assert state.k == 95
+def test_trivial_game_convergence(trivial_game, monkeypatch):
+    import seqform.solver as solver_module
+
+    # at rho = 1 the iterates circle into the fixed point (1, 0, 1, 0), so
+    # ||v|| tends to sqrt(2) and the residual to sqrt(2) / k: 142 steps
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "RHO", 1.0)
+        state = plain_iteration(trivial_game, 1e-2)
+    assert state.k == 142
     assert 0.0099 < residual(state) < 1e-2
     x_plan, y_plan = averaged_plans(state, trivial_game)
     assert np.array_equal(x_plan, [1.0])
     assert np.array_equal(y_plan, [1.0])
     assert expected_value(trivial_game, x_plan, y_plan) == 0.0
     assert duality_gap(trivial_game, x_plan, y_plan) == 0.0
+    # from rho = 1.6 up the plain loop never certifies this game: its window
+    # check fails nearly every step; solve falls back to rho = 1 and certifies
+    report = solve(trivial_game, SolverConfig(epsilon=1e-2))
+    assert report.converged and report.iterations == 9 and report.fallback_step == 3
+    assert np.array_equal(report.x_plan, [1.0]) and np.array_equal(report.y_plan, [1.0])
+    assert report.value == 0.0 and report.duality_gap == 0.0
 
 
 def test_matching_pennies_solution(pennies):
     state = plain_iteration(pennies, 1e-3)
-    # at lambda = 1/||K|| = 0.5 and rho = 1.5, ||v|| settles at 1 and the
-    # residual at 1 / (0.75 k), which is 1e-3 at k = 4000 / 3; so step 1334
+    # at lambda = 1/||K|| = 0.5 and rho = 1.7, ||v|| settles at 1 and the
+    # residual at 1 / (0.85 k), which is 1e-3 at k = 20000 / 17; so step 1177
     # is the first below it (2001 at rho = 1)
-    assert state.k == 1334
+    assert state.k == 1177
     # the symmetric start keeps both coordinates identical, so the
     # normalized averages sit exactly on the mixed equilibrium
     x_plan, y_plan = averaged_plans(state, pennies)
@@ -463,8 +472,8 @@ def test_solve_is_deterministic():
 def test_trace_schedule(kuhn):
     _, game, _ = kuhn
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    # the run stops at 255, which adds a final row after the scheduled ones
-    assert [t.iter for t in report.trace] == [100, 200, 255]
+    # the run stops at 224, which adds a final row after the scheduled ones
+    assert [t.iter for t in report.trace] == [100, 200, 224]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert [t.iter for t in report.trace] == [7, 10]
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=10))
@@ -517,8 +526,8 @@ def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game,
     import seqform.solver as solver_module
 
     state = init(trivial_game)
-    z0 = np.array([0.0, -1.5e308, 0.0, 1e308])
-    state = dataclasses.replace(state, **solver_module._window(state.K, z0, state.rho))
+    state.z0[:] = [0.0, -1.5e308, 0.0, 1e308]
+    solver_module._open_window(state)
     step(state, trivial_game)
     assert state.z.tolist() == [0.0, 0.0, 1.5e308, 1e308]
     assert sum(state.z.tolist()) == math.inf
@@ -553,9 +562,9 @@ def test_restart_contract(kuhn, monkeypatch):
         calls["steps"] += 1
         return step_fn(state, g)
 
-    def recorded_restart(state, g, rho):
+    def recorded_restart(state, g, rho, plans=None):
         restart_steps.append(calls["steps"])
-        return restart(state, g, rho)
+        return restart(state, g, rho, plans)
 
     monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
     monkeypatch.setattr(solver_module, "step", counted_step)
@@ -565,7 +574,7 @@ def test_restart_contract(kuhn, monkeypatch):
     assert report.converged
     assert calls["norm"] == 1
     assert restart_steps and report.iterations == calls["steps"] < 5000
-    assert report.restarts == restart_steps == [24, 75, 132, 160, 206]
+    assert report.restarts == restart_steps == [21, 66, 117, 142, 182]
     assert [t.iter for t in report.trace] == list(range(1, report.iterations + 1))
 
     # a cap on a step where the rule fires stops before restarting
@@ -626,10 +635,62 @@ def test_each_report_point_is_evaluated_once(kuhn, monkeypatch):
     assert calls == [report.iterations] and report.trace == []
     calls.clear()
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=100))
-    assert calls == [100, 200, 255] == [t.iter for t in report.trace]
+    assert calls == [100, 200, 224] == [t.iter for t in report.trace]
     calls.clear()
     solve(game, SolverConfig(epsilon=1e-4, max_iter=10, trace_every=7))
     assert calls == [7, 10]
+
+
+def test_a_restart_on_an_evaluated_step_pushes_the_average_once(kuhn, monkeypatch):
+    # a restart starts from the plans _trace_point pushed on the same step,
+    # and pushes them itself only on a step that was not evaluated
+    import seqform.solver as solver_module
+
+    _, game, _ = kuhn
+    calls = []
+    normalize = solver_module.normalize_to_polytope
+
+    def counted_normalize(index, z):
+        calls.append(index)
+        return normalize(index, z)
+
+    monkeypatch.setattr(solver_module, "normalize_to_polytope", counted_normalize)
+    report = solve(game, SolverConfig(epsilon=1e-4, trace_every=1))
+    assert report.restarts
+    assert len(calls) == 2 * len(report.trace) == 2 * report.iterations
+    calls.clear()
+    report = solve(game, SolverConfig(epsilon=1e-4))
+    assert len(calls) == 2 * (len(report.restarts) + 1)
+    # the fallback's restart too
+    fixed_norm(monkeypatch, exact_norm(game) / 1.3)
+    calls.clear()
+    report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300, trace_every=1))
+    assert report.fallback_step == 8
+    assert len(calls) == 2 * report.iterations
+
+
+def test_a_restart_holds_less_than_two_state_vectors_beyond_its_copy():
+    # the restarted state owns its z, g, z_sum, z0 and scratch buffer; beyond
+    # those, a restart holds less than two state vectors' bytes at any time
+    import tracemalloc
+
+    import seqform.solver as solver_module
+
+    game = ternary_game(6)
+    state = init(game)
+    for _ in range(20):
+        step(state, game)
+    solver_module._restart(state, game, state.rho)  # builds the treeplex levels, once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        restarted = solver_module._restart(state, game, state.rho)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert restarted.k == 0
+    assert peak - kept < 2 * 8 * state.z.size
 
 
 def test_restart_builds_the_window_init_builds(kuhn):
@@ -836,7 +897,7 @@ def test_the_fallback_opens_a_plain_window(kuhn, monkeypatch):
 
     monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300))
-    assert report.fallback_step == 9
+    assert report.fallback_step == 8
     assert len(estimates) == 1
 
 
