@@ -7,14 +7,14 @@ from .errors import (CompileError, DimensionError, DivergenceError,
                      SeqformError, SizeError, StrategyError, StructureError,
                      ValidationError)
 from .games import (Chance, Decision, ExtensiveFormGame, SequenceMap, Terminal,
-                    expected_value, kuhn_poker, random_matrix_game,
-                    simplex_game, to_sequence_form)
+                    kuhn_poker, random_matrix_game, simplex_game,
+                    to_sequence_form)
 from .solver import (Quadruplet, SolveReport, SolverConfig, SolverState,
                      TracePoint, ergodic_average, init, residual, solve, step)
 from .sparse import SparseMatrix, SpectralEstimate, build_K, spectral_norm
 from .treeplex import (BestResponse, FeasibilityResiduals, SequenceFormGame,
                        TreeplexIndex, Violation, best_response,
-                       build_treeplex_index, duality_gap,
+                       build_treeplex_index, duality_gap, expected_value,
                        feasibility_residuals, normalize_to_polytope,
                        simplex_gap, validate_sequence_form)
 

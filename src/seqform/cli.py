@@ -320,7 +320,9 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
     """Refuse, before any work, outputs ({flag: path}, None if not written) that cannot be written.
 
     An output that is empty, names a directory (an existing one, or any
-    path ending in a separator) or lies in a missing directory raises.
+    path ending in a separator), lies in a missing directory, or is not
+    writable raises: an existing file by its own permission, so a device
+    such as /dev/null passes, a missing one by its directory's.
     Two of the game file and the outputs that are one file go to error,
     the parser's usage error: an existing path is compared by device and
     inode, so a hard link is its target, and a missing one once resolved.
@@ -331,8 +333,12 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
             raise FileNotFoundError(errno.ENOENT, "the output path is empty", path)
         if os.path.isdir(path) or not os.path.basename(path):
             raise IsADirectoryError(errno.EISDIR, "the output is a directory", path)
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
+        if not (os.access(path, os.W_OK) if os.path.exists(path)
+                else os.access(directory, os.W_OK | os.X_OK)):
+            raise PermissionError(errno.EACCES, "no permission to write the output", path)
     seen = {}
     for name, path in (("the game file", game), *outputs.items()):
         if path is not None:

@@ -7,6 +7,10 @@ indexes to the players in discovery order (the empty sequence is index
 0), and accumulates chance-weighted payoffs into the sparse payoff
 matrix.
 
+The module only builds games. The SequenceFormGame record it fills in,
+and every evaluator of a strategy pair on it, such as expected_value
+and duality_gap, live in treeplex.
+
 Kuhn poker is the built-in worked example: three cards, one dealt to
 each player, a single round with a one-chip bet where a player facing a
 bet either calls for a two-chip showdown or folds.
@@ -21,9 +25,9 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import CompileError, DimensionError, StructureError
-from .sparse import SparseMatrix, _dot
-from .treeplex import SequenceFormGame, _through_K
+from .errors import CompileError, StructureError
+from .sparse import SparseMatrix
+from .treeplex import SequenceFormGame
 
 _CHANCE_SUM_TOL = 1e-12
 
@@ -258,15 +262,4 @@ def random_matrix_game(n1: int, n2: int, seed: int) -> SequenceFormGame:
     rng = np.random.default_rng(seed)
     dense = rng.uniform(-1.0, 1.0, size=(n1, n2))
     return simplex_game(SparseMatrix.from_dense(dense))
-
-
-def expected_value(game: SequenceFormGame, x, y) -> float:
-    """Payoff x^T A y to player 1 under a realization-plan pair.
-
-    A y is read off K (y, 0), one product on the game's one operator.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (game.n1,):
-        raise DimensionError(f"x must have length {game.n1}, got shape {x.shape}")
-    return float(_dot(x, _through_K(game, y, False)[0]))
 

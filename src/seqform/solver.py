@@ -95,10 +95,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceError, InitializationError
-from .games import expected_value
 from .sparse import SparseMatrix, _dot, _einsum, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
-                       feasibility_residuals, normalize_to_polytope)
+                       expected_value, feasibility_residuals, normalize_to_polytope)
 
 # step's clipping bound: np.maximum takes a 0-d array faster than the float 0.0
 _ZERO = np.zeros(())

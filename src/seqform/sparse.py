@@ -40,8 +40,13 @@ import scipy.sparse
 from .errors import DimensionError, FileFormatError
 
 # np.einsum's kernel, called without np.einsum's dispatch, which costs
-# about 1.7 us a call: as long again as a small game's inner product
-from numpy._core.multiarray import c_einsum as _einsum
+# about 1.7 us a call: as long again as a small game's inner product.
+# The name is private to numpy, so a numpy without it gets np.einsum,
+# the same kernel with the same bits behind that dispatch.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 # A list or tuple [row, col, value]: integer indices and a real value, no bool.
 Triplet = tuple[int, int, float]

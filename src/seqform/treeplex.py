@@ -21,6 +21,11 @@ operations, the same sweep for a simplex and a tree.
 
 Validation reports violations as data rather than raising, so tools can
 list everything wrong with a file at once.
+
+The module owns the sequence-form game record and every evaluator of a
+strategy pair on it: expected_value, feasibility_residuals and
+duality_gap read their products off the game's one operator K, and
+simplex_gap is the matrix-game gap on A alone.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import (DimensionError, FeasibilityWarning, FileFormatError,
                      StructureError, ValidationError)
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _dot
 
 # Largest constraint residual, or most negative entry, duality_gap takes as feasible
 _FEAS_TOL = 1e-8
@@ -496,6 +501,17 @@ def _through_K(game: SequenceFormGame, v, transpose: bool) -> tuple[np.ndarray, 
     padded[:n] = v
     out = K.transpose_matvec(padded) if transpose else K.matvec(padded)
     return out[:m], out[m:]
+
+
+def expected_value(game: SequenceFormGame, x, y) -> float:
+    """Payoff x^T A y to player 1 under a realization-plan pair.
+
+    A y is read off K (y, 0), one product on the game's one operator.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (game.n1,):
+        raise DimensionError(f"x must have length {game.n1}, got shape {x.shape}")
+    return float(_dot(x, _through_K(game, y, False)[0]))
 
 
 def _residuals(game: SequenceFormGame, x, y, neg_E1x, E2y) -> FeasibilityResiduals:

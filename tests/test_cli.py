@@ -15,11 +15,15 @@ import pytest
 
 import seqform
 from seqform import FileFormatError, random_matrix_game
-from seqform.cli import (TRACE_HEADER, _load_game_file, _scalar_json, main,
-                         render_json, write_trace_csv)
+from seqform.cli import _load_game_file, _scalar_json, main, render_json, write_trace_csv
 from seqform.solver import TracePoint
 from seqform.treeplex import SequenceFormGame, validate_sequence_form
 from conftest import fixed_norm
+
+
+# README promises these columns never change, so the tests spell them out
+# rather than read cli.TRACE_HEADER, which an edit would change with them
+TRACE_COLUMNS = "iter,residual,duality_gap,value,p0,neg_q0,feas_x,feas_y,min_x,min_y,elapsed_ms"
 
 
 def read(path):
@@ -344,7 +348,7 @@ def test_solve_builtin_kuhn(tmp_path, capsys):
         "strategies": str(tmp_path / "s.json")}
 
     trace_lines = read(tmp_path / "trace.csv").splitlines()
-    assert trace_lines[0] == TRACE_HEADER
+    assert trace_lines[0] == TRACE_COLUMNS
     assert len(trace_lines) >= 2
     assert all(line.endswith(",0") for line in trace_lines[1:])
     assert int(trace_lines[-1].split(",")[0]) == doc["iterations"]
@@ -385,6 +389,55 @@ def test_solve_refuses_an_output_in_a_missing_directory_before_solving(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "nodir/out" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace", "--strategies"])
+@pytest.mark.parametrize("denied", ["file", "directory"])
+def test_solve_refuses_an_unwritable_output_before_reading_the_game(tmp_path, capsys,
+                                                                     monkeypatch, flag, denied):
+    # os.access is patched to deny the one target, since a root user passes the real check:
+    # an existing output by its own permission, a missing one by its directory's
+    monkeypatch.chdir(tmp_path)
+    main(["make-game", "kuhn", "--out", "g.json"])
+    (tmp_path / "ro").mkdir()
+    if denied == "file":
+        (tmp_path / "ro" / "out").write_text("old\n")
+    target = os.path.abspath("ro/out" if denied == "file" else "ro")
+    access = os.access
+
+    def no_write_to_target(path, mode, **kwargs):
+        if os.path.abspath(path) == target and mode & os.W_OK:
+            return False
+        return access(path, mode, **kwargs)
+
+    def no_work(*args):
+        raise AssertionError("read the game or solved before checking the outputs")
+
+    monkeypatch.setattr(os, "access", no_write_to_target)
+    monkeypatch.setattr("seqform.cli._load_game_file", no_work)
+    monkeypatch.setattr("seqform.cli.solve", no_work)
+    capsys.readouterr()
+    assert main(["solve", "g.json", flag, "ro/out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "no permission to write the output: 'ro/out'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "ro"]
+    if denied == "file":
+        assert [p.name for p in (tmp_path / "ro").iterdir()] == ["out"]
+        assert read(tmp_path / "ro" / "out") == "old\n"
+    else:
+        assert list((tmp_path / "ro").iterdir()) == []
+
+
+def test_solve_writes_its_trace_to_a_device(tmp_path, monkeypatch):
+    # an existing output is checked by its own permission, not its directory's,
+    # which a user other than root may not write to
+    monkeypatch.chdir(tmp_path)
+    devices = os.path.dirname(os.path.abspath(os.devnull))
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        os.path.abspath(path) != devices and access(path, mode, **kwargs)))
+    assert main(["solve", "--builtin", "kuhn", "--epsilon", "1e-2", "--trace", os.devnull]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_solve_refuses_a_hard_link_to_its_game_file(tmp_path, capsys, monkeypatch):
@@ -762,6 +815,31 @@ def test_solve_reruns_in_fresh_processes_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_solve_without_numpys_private_einsum_kernel_writes_the_same_bytes(tmp_path):
+    # numpy has moved its private modules before; without the private name seqform
+    # falls back to np.einsum, the same kernel, and every output keeps its bytes
+    solve = ("import sys\n"
+             "{prelude}"
+             "import numpy as np\n"
+             "from seqform import sparse\n"
+             "from seqform.cli import main\n"
+             "assert (sparse._einsum is np.einsum) == {fallback}\n"
+             "sys.exit(main(['solve', '--builtin', 'kuhn', '--epsilon', '1e-3',\n"
+             "               '--trace-every', '1']))\n")
+    deleted = "import numpy._core.multiarray as multiarray\ndel multiarray.c_einsum\n"
+    outputs = []
+    for kernel, prelude in (("private", ""), ("public", deleted)):
+        cwd = tmp_path / kernel
+        cwd.mkdir()
+        code = solve.format(prelude=prelude, fallback=bool(prelude))
+        run = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                             env=env_importing_this_seqform(), capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append([(cwd / name).read_bytes() for name in ("report.json", "trace.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_render_json_round_trips_doubles():
     values = [1.0 / 18.0, 2.0 ** -52, 1e300, -0.1]
     parsed = json.loads(render_json(values))
@@ -775,6 +853,6 @@ def test_write_trace_csv_golden(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(str(path), [point])
     assert read(path).splitlines() == [
-        TRACE_HEADER,
+        TRACE_COLUMNS,
         "3,0.5,0.25,-0.055555555555555552,1,-1,0,0,0,-0.125,0",
     ]

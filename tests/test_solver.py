@@ -121,13 +121,16 @@ def exact_norm(game):
     return float(np.linalg.norm(build_K(game).to_dense(), 2))
 
 
-@pytest.mark.parametrize("rho", [1.0, 1.5])
+@pytest.mark.parametrize("rho", [1.0, 1.5, pytest.param(None, id="RHO")])
 def test_window_identity(kuhn, monkeypatch, rho):
     # with P_i = (u1, w1) the point of step i's projections and E the state's
     # window term: sum <z_i - T(z_i), P_i - z*> = (1/rho) [(||z0 - z*||^2 -
-    # ||z_k - z*||^2) / 2 + E] at every z*, which is what the certificate rests on
+    # ||z_k - z*||^2) / 2 + E] at every z*, which is what the certificate rests on;
+    # rho None leaves the shipped RHO in place, so the case follows the constant
     import seqform.solver as solver_module
 
+    if rho is None:
+        rho = solver_module.RHO
     monkeypatch.setattr(solver_module, "RHO", rho)
     rng = np.random.default_rng(5)
     for game in (kuhn[1], ternary_game(4)):
