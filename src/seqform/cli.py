@@ -37,6 +37,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 
 from . import __version__
@@ -326,6 +327,8 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
     Two of the game file and the outputs that are one file go to error,
     the parser's usage error: an existing path is compared by device and
     inode, so a hard link is its target, and a missing one once resolved.
+    An existing path that is not a regular file, such as /dev/null, is
+    not compared: writing a device twice destroys nothing.
     """
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
     for path in outputs.values():
@@ -347,6 +350,9 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
                 key = st.st_dev, st.st_ino  # what os.path.samestat compares
             except OSError:
                 key = os.path.realpath(path)
+            else:
+                if not stat.S_ISREG(st.st_mode):
+                    continue
             if key in seen:
                 error(f"{seen[key]} and {name} are the same file: {path}")
             seen[key] = name

@@ -428,23 +428,19 @@ def _window_check(state: SolverState) -> float:
     return state.E / half
 
 
-def _restart(state: SolverState, game: SequenceFormGame, rho: float,
-             plans: Optional[tuple[np.ndarray, np.ndarray]] = None) -> SolverState:
+def _restart(state: SolverState, game: SequenceFormGame, rho: float) -> SolverState:
     """A copy of state whose window, stepped at rho, starts at its ergodic average.
 
     The start is the average with its plans y and x pushed onto the
     strategy polytopes (normalize_to_polytope) and its multipliers p and
     q as they are; the window argument, and so the certificate, holds
-    from any start. plans, if given, are those pushed plans (x, y), as
-    _trace_point evaluated them for the same state; otherwise they are
-    pushed here, before the copy, so that their temporaries and the copy
-    are never held at once. The copy is made once, by replace, and
-    _open_window writes the window into it, as init's is written; K and
-    its norm are kept, steps keeps counting, and state is left as it
-    was.
+    from any start. The plans are pushed here, before the copy, so that
+    their temporaries and the copy are never held at once. The copy is
+    made once, by replace, and _open_window writes the window into it,
+    as init's is written; K and its norm are kept, steps keeps counting,
+    and state is left as it was.
     """
-    if plans is None:
-        plans = _pushed_average(state, game)
+    plans = _pushed_average(state, game)
     new = replace(state, rho=rho)
     y, _, x, _ = new.blocks(np.divide(state.z_sum, state.k, out=new.z0))
     x[:], y[:] = plans
@@ -468,9 +464,8 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
     _open_window, and one site in the loop evaluates the state,
     _trace_point: at the final step, for the report, and with
     trace_every > 0 every trace_every iterations too, before a restart on
-    the same step, which starts from the plans evaluated there. With
-    trace_every > 0 each evaluated point is recorded in the trace, the
-    final one included.
+    the same step. With trace_every > 0 each evaluated point is recorded
+    in the trace, the final one included.
 
     A step whose window check fails has residual inf: it is not
     converged and neither sets the reference nor restarts. At the first
@@ -491,10 +486,8 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
         step(state, game)
         res = residual(state)
         done = res < epsilon or state.steps >= max_iter
-        plans = None
         if done or (trace_every and state.steps % trace_every == 0):
             point, evaluation = _trace_point(state, game, res)
-            plans = evaluation[:2]
             if trace_every:
                 trace.append(point)
         if done:
@@ -504,14 +497,14 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             check = _window_check(state)
             if check > 1.0 and state.rho != 1.0:
                 window_checks.append(check)
-                state = _restart(state, game, 1.0, plans)
+                state = _restart(state, game, 1.0)
                 fallback_step = state.steps
                 reference = None
         elif reference is None:
             reference = res
         elif res <= 0.2 * reference:
             window_checks.append(_window_check(state))
-            state = _restart(state, game, state.rho, plans)
+            state = _restart(state, game, state.rho)
             restarts.append(state.steps)
             reference = res
 

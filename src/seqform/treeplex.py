@@ -43,6 +43,8 @@ from .sparse import SparseMatrix, _dot
 
 # Largest constraint residual, or most negative entry, duality_gap takes as feasible
 _FEAS_TOL = 1e-8
+# OpenBLAS sums a dot product of more entries than this across its threads
+_DOT_SLICE = 10_000
 
 
 @dataclass(frozen=True)
@@ -410,6 +412,12 @@ def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestRes
     level at a time; the returned plan is a deterministic vertex (0/1
     entries) attaining the optimum, with ties broken toward the lowest
     sequence index.
+
+    The value is g . plan summed over 10,000-entry slices, each one
+    np.dot on the calling thread, added in order: OpenBLAS splits a
+    longer dot product across its threads, whose partial sums would make
+    the last bits depend on the thread count. A plan of at most 10,000
+    entries takes one np.dot call, the value of np.dot(g, plan) itself.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -437,7 +445,11 @@ def best_response(index: TreeplexIndex, gradient, sense: str = "max") -> BestRes
     for level, choice in zip(index.levels, reversed(choices)):
         plan[choice] = plan[level.parents]
     plan = plan[:n].copy()
-    return BestResponse(float(np.dot(g, plan)), plan)
+    value = float(np.dot(g[:_DOT_SLICE], plan[:_DOT_SLICE]))
+    for start in range(_DOT_SLICE, n, _DOT_SLICE):
+        end = start + _DOT_SLICE
+        value += float(np.dot(g[start:end], plan[start:end]))
+    return BestResponse(value, plan)
 
 
 def normalize_to_polytope(index: TreeplexIndex, z) -> np.ndarray:

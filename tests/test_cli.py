@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -438,6 +439,15 @@ def test_solve_writes_its_trace_to_a_device(tmp_path, monkeypatch):
         os.path.abspath(path) != devices and access(path, mode, **kwargs)))
     assert main(["solve", "--builtin", "kuhn", "--epsilon", "1e-2", "--trace", os.devnull]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_two_outputs_to_one_device_are_not_a_clash(tmp_path, monkeypatch):
+    # only a regular file can be clobbered; a device written twice loses nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--builtin", "kuhn", "--report", os.devnull,
+                 "--trace", os.devnull]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_solve_refuses_a_hard_link_to_its_game_file(tmp_path, capsys, monkeypatch):

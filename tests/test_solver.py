@@ -565,9 +565,9 @@ def test_restart_contract(kuhn, monkeypatch):
         calls["steps"] += 1
         return step_fn(state, g)
 
-    def recorded_restart(state, g, rho, plans=None):
+    def recorded_restart(state, g, rho):
         restart_steps.append(calls["steps"])
-        return restart(state, g, rho, plans)
+        return restart(state, g, rho)
 
     monkeypatch.setattr(solver_module, "spectral_norm", counted_norm)
     monkeypatch.setattr(solver_module, "step", counted_step)
@@ -645,8 +645,8 @@ def test_each_report_point_is_evaluated_once(kuhn, monkeypatch):
 
 
 def test_a_restart_on_an_evaluated_step_pushes_the_average_once(kuhn, monkeypatch):
-    # a restart starts from the plans _trace_point pushed on the same step,
-    # and pushes them itself only on a step that was not evaluated
+    # _trace_point and _restart each push the average onto both polytopes,
+    # also when a restart lands on an evaluated step
     import seqform.solver as solver_module
 
     _, game, _ = kuhn
@@ -659,17 +659,17 @@ def test_a_restart_on_an_evaluated_step_pushes_the_average_once(kuhn, monkeypatc
 
     monkeypatch.setattr(solver_module, "normalize_to_polytope", counted_normalize)
     report = solve(game, SolverConfig(epsilon=1e-4, trace_every=1))
-    assert report.restarts
-    assert len(calls) == 2 * len(report.trace) == 2 * report.iterations
+    assert len(report.trace) == report.iterations == 224 and len(report.restarts) == 5
+    assert len(calls) == 2 * (224 + 5) == 458
     calls.clear()
     report = solve(game, SolverConfig(epsilon=1e-4))
-    assert len(calls) == 2 * (len(report.restarts) + 1)
+    assert len(calls) == 2 * (len(report.restarts) + 1) == 12
     # the fallback's restart too
     fixed_norm(monkeypatch, exact_norm(game) / 1.3)
     calls.clear()
     report = solve(game, SolverConfig(epsilon=1e-4, max_iter=300, trace_every=1))
     assert report.fallback_step == 8
-    assert len(calls) == 2 * report.iterations
+    assert len(calls) == 2 * (report.iterations + len(report.restarts) + 1) == 604
 
 
 def test_a_restart_holds_less_than_two_state_vectors_beyond_its_copy():

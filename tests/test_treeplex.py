@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqform
 from seqform import (DimensionError, FeasibilityWarning, FileFormatError,
                      SequenceFormGame, SolverConfig, SparseMatrix, StructureError,
                      TreeplexIndex, ValidationError, Violation, best_response,
@@ -550,6 +554,33 @@ def test_best_response_leaves_gradient_alone():
     g = np.array([0.0, 1.0, 5.0, 10.0, 2.0])
     best_response(index, g, "max")
     assert np.array_equal(g, [0.0, 1.0, 5.0, 10.0, 2.0])
+
+
+def test_best_response_value_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 entries across its
+    # threads; 50,000 two-action sets off the root make 100,001 sequences
+    code = ("import numpy as np\n"
+            "from seqform import SparseMatrix, best_response, build_treeplex_index\n"
+            "sets = 50_000\n"
+            "n = 2 * sets + 1\n"
+            "trip = [(0, 0, 1.0)]\n"
+            "for r in range(1, sets + 1):\n"
+            "    trip += [(r, 0, -1.0), (r, 2 * r - 1, 1.0), (r, 2 * r, 1.0)]\n"
+            "e = np.zeros(sets + 1)\n"
+            "e[0] = 1.0\n"
+            "index = build_treeplex_index(SparseMatrix(sets + 1, n, trip), e)\n"
+            "g = np.random.default_rng(0).standard_normal(n)\n"
+            "print(best_response(index, g, 'max').value.hex())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seqform.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_best_response_argument_errors():
