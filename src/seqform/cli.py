@@ -16,19 +16,22 @@ as {"path", "sha256"} or {"builtin": "kuhn"}.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error
 or a game too large to allocate, 3 finished without converging,
-4 numerical divergence. I/O failures exit 1. The argument parser
-reports every usage error, an unknown word with the usage line of the
-sub-command it follows, or with the top-level one if it comes before
-the sub-command. Both commands check their outputs before any work is
-done, and refuse with nothing written an output that is the game file
-or another output, whether named by path or reached by a hard link
-(exit 2), or that is empty, ends in a path separator, is an existing
-directory or lies in a missing one (exit 1).
+4 numerical divergence. I/O failures exit 1, and a command writes all
+of its outputs or none, so a failed run leaves earlier outputs as they
+were. The argument parser reports every usage error, an unknown word
+with the usage line of the sub-command it follows, or with the
+top-level one if it comes before the sub-command. Both commands check
+their outputs before any work is done, and refuse with nothing written
+an output that is the game file or another output, whether named by
+path or reached by a hard link (exit 2), or that is empty, ends in a
+path separator, is an existing directory or lies in a missing one
+(exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import gc
@@ -68,6 +71,8 @@ def _is_scalar(v) -> bool:
 
 
 def _scalar_json(v) -> str:
+    if type(v) is int:  # what json.dumps writes, without its call; a bool is not an int here
+        return int.__repr__(v)
     return _fmt_float(v) if isinstance(v, float) else json.dumps(v)
 
 
@@ -100,16 +105,44 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_outputs(outputs) -> None:
+    """Write each (path, text) of outputs: all of them, or none.
+
+    A regular file, existing or new, is written to a temporary file
+    beside it (beside the file a symbolic link names), and the
+    temporaries replace their targets only once every write succeeded.
+    An existing output that is not a regular file, such as /dev/null, is
+    written in place just before the renames, never renamed over. On a
+    failure the temporaries are removed and the error is raised.
+    """
+    staged, devices = [], []
+    try:
+        for path, text in outputs:
+            st = os.stat(path) if os.path.exists(path) else None
+            if st is not None and not stat.S_ISREG(st.st_mode):
+                devices.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            tmp = os.path.join(os.path.dirname(target),
+                               f".{os.path.basename(target)}.{os.getpid()}.tmp")
+            staged.append((tmp, target))
+            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))  # a rewritten output keeps its mode
+        for path, text in devices:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
-def _write_json(path: str, obj) -> None:
-    _write_text(path, render_json(obj) + "\n")
-
-
-def write_trace_csv(path: str, trace) -> None:
+def render_trace_csv(trace) -> str:
     lines = [TRACE_HEADER]
     for t in trace:
         lines.append(",".join([
@@ -119,7 +152,7 @@ def write_trace_csv(path: str, trace) -> None:
             # elapsed_ms: no output file holds a clock reading
             _fmt_float(t.min_x), _fmt_float(t.min_y), "0",
         ]))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 class _Utf8Reader:
@@ -245,7 +278,7 @@ def cmd_make_game(args) -> int:
     _check_outputs(args.error, None, {"--out": args.out})  # one output: no clash, only the raises
     game = to_sequence_form(kuhn_poker())[0] if args.kind == "kuhn" \
         else random_matrix_game(args.rows, args.cols, args.seed)
-    _write_json(args.out, game.to_dict())
+    _write_outputs([(args.out, render_json(game.to_dict()) + "\n")])
     print(f"wrote {args.out}")
     return 0
 
@@ -373,10 +406,11 @@ def cmd_solve(args) -> int:
 
     report = solve(game, SolverConfig(epsilon=args.epsilon, max_iter=args.max_iters,
                                       trace_every=args.trace_every))
-    write_trace_csv(args.trace, report.trace)
-    _write_json(args.report, _report_dict(report, _manifest(args, game_desc)))
+    outputs = [(args.trace, render_trace_csv(report.trace)),
+               (args.report, render_json(_report_dict(report, _manifest(args, game_desc))) + "\n")]
     if args.strategies is not None:
-        _write_json(args.strategies, _strategies_dict(report))
+        outputs.append((args.strategies, render_json(_strategies_dict(report)) + "\n"))
+    _write_outputs(outputs)
     print(_summary_line(report))
     return 0 if report.converged else 3
 

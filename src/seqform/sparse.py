@@ -89,7 +89,8 @@ class SparseMatrix:
 
     def __init__(self, rows: int, cols: int, triplets: Iterable[Triplet] = ()):
         ri, ci, vals = array("q"), array("q"), array("d")
-        for k, t in enumerate(triplets):
+        add_r, add_c, add_x = ri.append, ci.append, vals.append
+        for t in triplets:
             try:
                 r, c, x = t
                 # the typed buffers refuse any other index or value, but take a bool
@@ -98,9 +99,10 @@ class SparseMatrix:
                         or c is True or c is False or type(x) is not float
                         and (x is True or x is False or x is np.True_ or x is np.False_)):
                     raise TypeError
-                ri.append(r); ci.append(c); vals.append(x)
+                add_r(r); add_c(c); add_x(x)
             except (TypeError, ValueError):
-                raise TypeError(f"triplet {k} must be [row, col, value] with integer "
+                # a value is appended last, so the triplets read so far number len(vals)
+                raise TypeError(f"triplet {len(vals)} must be [row, col, value] with integer "
                                 "indices and a numeric value") from None
         self._from_arrays(rows, cols, ri, ci, vals)
 

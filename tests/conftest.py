@@ -6,6 +6,9 @@ precision; equality assertions between independent code paths can then
 be exact instead of approximate.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,12 +16,27 @@ from seqform import (Chance, Decision, ExtensiveFormGame, SequenceFormGame,
                      SparseMatrix, Terminal, kuhn_poker, to_sequence_form)
 from seqform.sparse import SpectralEstimate
 
+# the iteration ledger (tests/test_iteration_ledger.py): each ledger game's counts
+LEDGER = Path(__file__).resolve().parents[1] / "BENCH_iterations.json"
+
 
 @pytest.fixture(scope="session")
 def kuhn():
     efg = kuhn_poker()
     game, seqmap = to_sequence_form(efg)
     return efg, game, seqmap
+
+
+def ledger_entry(game: str) -> dict:
+    """The ledger's entry for game, such as "kuhn": the one place its counts are written.
+
+    A test of a property of that game's solve at the ledger's epsilon
+    reads a count here, not from a literal, so a change to the method
+    moves that count in the ledger alone; the ledger test keeps each
+    count exact.
+    """
+    entries = json.loads(LEDGER.read_text(encoding="utf-8"))
+    return next(e for e in entries if e["game"] == game)
 
 
 def fixed_norm(monkeypatch, value):

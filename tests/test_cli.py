@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files, exit codes, determinism."""
 
 import argparse
+import errno
 import gc
 import hashlib
 import json
@@ -16,10 +17,10 @@ import pytest
 
 import seqform
 from seqform import FileFormatError, random_matrix_game
-from seqform.cli import _load_game_file, _scalar_json, main, render_json, write_trace_csv
+from seqform.cli import _load_game_file, _scalar_json, main, render_json, render_trace_csv
 from seqform.solver import TracePoint
 from seqform.treeplex import SequenceFormGame, validate_sequence_form
-from conftest import fixed_norm
+from conftest import fixed_norm, ledger_entry
 
 
 # README promises these columns never change, so the tests spell them out
@@ -450,6 +451,89 @@ def test_two_outputs_to_one_device_are_not_a_clash(tmp_path, monkeypatch):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+class _FullFile:
+    """A file opened for writing whose every write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make every write fail to a file whose name contains name, as cli opens it."""
+    import seqform.cli as cli
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _FullFile(fh) if name in os.path.basename(path) else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("failing", ["trace.csv", "report.json", "s.json"])
+def test_a_failed_write_leaves_every_output_as_it_was(tmp_path, monkeypatch, capsys, failing):
+    # a command writes all of its outputs or none, whichever one fails
+    args = ["solve", "--builtin", "kuhn", "--strategies", "s.json"]
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    monkeypatch.chdir(tmp_path / "old")
+    assert main([*args, "--epsilon", "1e-2"]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+    assert sorted(before) == ["report.json", "s.json", "trace.csv"]
+    fail_writes_to(monkeypatch, failing)
+    for where in ("new", "old"):
+        monkeypatch.chdir(tmp_path / where)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list((tmp_path / "new").iterdir()) == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+
+
+def test_a_failed_make_game_write_leaves_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-game", "kuhn", "--out", "g.json"]) == 0
+    before = (tmp_path / "g.json").read_bytes()
+    fail_writes_to(monkeypatch, "g.json")
+    assert main(["make-game", "random-matrix", "--rows", "2", "--cols", "2", "--out", "g.json"]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+    assert (tmp_path / "g.json").read_bytes() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_full_device_output_leaves_no_other_output(tmp_path, monkeypatch):
+    # the device is written in place before any rename, so its failure stops every output
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--builtin", "kuhn", "--strategies", "/dev/full"]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+def test_a_rewritten_output_keeps_its_mode_and_its_symbolic_link(tmp_path, monkeypatch):
+    # the temporary file replaces the file a link names, and takes the old file's mode
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-game", "kuhn", "--out", "g.json"]) == 0
+    os.chmod("g.json", 0o640)
+    try:
+        os.symlink("g.json", "link.json")
+    except (OSError, NotImplementedError) as exc:
+        pytest.skip(f"no symbolic links here: {exc}")
+    assert main(["make-game", "random-matrix", "--rows", "2", "--cols", "2",
+                 "--out", "link.json"]) == 0
+    assert os.path.islink("link.json")
+    assert stat.S_IMODE(os.stat("g.json").st_mode) == 0o640
+    assert json.loads(read(tmp_path / "g.json"))["n1"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "link.json"]
+
+
 def test_solve_refuses_a_hard_link_to_its_game_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["make-game", "kuhn", "--out", "g.json"])
@@ -705,12 +789,13 @@ def test_uncertified_last_step_is_written_as_inf_and_null(tmp_path, capsys, monk
 def test_summary_line_counts_restarts(tmp_path, capsys):
     args = ["solve", "--builtin", "kuhn", "--epsilon", "1e-4",
             "--report", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+    kuhn = ledger_entry("kuhn")
     assert main(args) == 0
     summary = capsys.readouterr().out.strip()
-    assert summary.startswith("converged iterations=224 ")
-    assert summary.endswith(" restarts=5")
-    assert main([*args, "--max-iters", "21"]) == 3
-    # the rule fires on step 21, but a capped run stops before restarting
+    assert summary.startswith(f"converged iterations={kuhn['iterations']} ")
+    assert summary.endswith(f" restarts={len(kuhn['restarts'])}")
+    assert main([*args, "--max-iters", str(kuhn["restarts"][0])]) == 3
+    # the rule fires on the capped step, but a capped run stops before restarting
     assert capsys.readouterr().out.strip().endswith(" restarts=0")
 
 
@@ -757,6 +842,11 @@ def test_render_json_formatting():
     rng = np.random.default_rng(5)
     floats = (rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)).tolist()
     assert render_json(floats) == "[" + ", ".join(_scalar_json(v) for v in floats) + "]"
+
+
+@pytest.mark.parametrize("v", [0, -7, 2 ** 70, True, False, None, "", "kuhn", 'a"b\\c\n', "\u00e9"])
+def test_scalar_json_writes_what_json_dumps_writes(v):
+    assert _scalar_json(v) == json.dumps(v)
 
 
 def test_load_game_file_restores_the_collector(tmp_path, monkeypatch):
@@ -856,13 +946,11 @@ def test_render_json_round_trips_doubles():
     assert parsed == values
 
 
-def test_write_trace_csv_golden(tmp_path):
+def test_render_trace_csv_golden():
     point = TracePoint(iter=3, residual=0.5, duality_gap=0.25, value=-1.0 / 18.0,
                        p0=1.0, neg_q0=-1.0, feas_x=0.0, feas_y=0.0,
                        min_x=0.0, min_y=-0.125)
-    path = tmp_path / "t.csv"
-    write_trace_csv(str(path), [point])
-    assert read(path).splitlines() == [
+    assert render_trace_csv([point]) == "\n".join([
         TRACE_COLUMNS,
         "3,0.5,0.25,-0.055555555555555552,1,-1,0,0,0,-0.125,0",
-    ]
+    ]) + "\n"

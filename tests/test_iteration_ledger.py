@@ -11,15 +11,13 @@ any count fails here until the file is rewritten:
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 
 from seqform import (SolverConfig, build_K, kuhn_poker, random_matrix_game, solve,
                      spectral_norm, to_sequence_form)
-from conftest import random_efg, ternary_game
+from conftest import LEDGER, random_efg, ternary_game
 
-LEDGER = Path(__file__).resolve().parents[1] / "BENCH_iterations.json"
 EFG_SEEDS = range(40)
 
 

@@ -73,6 +73,24 @@ def test_construction_errors():
         SparseMatrix(2, 2, [(0, 0, 10 ** 400)])
 
 
+@pytest.mark.parametrize("bad", [(1, 0.5, 1.0), (1, 1, "1"), (1, 1), (True, 1, 1.0)],
+                         ids=["column", "value", "unpacking", "bool"])
+def test_a_refused_triplet_is_named_by_its_place(bad):
+    # the first refused triplet, the fourth of five, is named whichever part refuses it
+    trips = [(0, 0, 1.0), (1, 1, 2.0), (0, 1, 3.0), bad, (1, 0, 4.0)]
+    with pytest.raises(TypeError, match="^triplet 3 "):
+        SparseMatrix(2, 2, trips)
+
+
+def test_an_error_of_the_triplet_iterable_itself_propagates():
+    def triplets():
+        yield (0, 0, 1.0)
+        raise ValueError("the source failed")
+
+    with pytest.raises(ValueError, match="^the source failed$"):
+        SparseMatrix(2, 2, triplets())
+
+
 def test_duplicates_sum_in_input_order_when_rows_arrive_out_of_order():
     # 1.0 is half an ulp of 1e16, so 1e16, 1.0 and -1e16 sum to 0.0 or to 1.0 by
     # their order; the cancelled sum stays stored, an explicit zero
