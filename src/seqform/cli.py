@@ -355,8 +355,12 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
 
     An output that is empty, names a directory (an existing one, or any
     path ending in a separator), lies in a missing directory, or is not
-    writable raises: an existing file by its own permission, so a device
-    such as /dev/null passes, a missing one by its directory's.
+    writable raises. The directory is the one the path resolves into,
+    links followed, since _write_outputs writes a regular file to a
+    temporary one there and renames it over the target: a regular file,
+    new or existing, needs that directory's permission, and an existing
+    one its own too. An existing file that is not regular, such as
+    /dev/null, is written in place and needs only its own.
     Two of the game file and the outputs that are one file go to error,
     the parser's usage error: an existing path is compared by device and
     inode, so a hard link is its target, and a missing one once resolved.
@@ -369,11 +373,13 @@ def _check_outputs(error, game: str | None, outputs: dict) -> None:
             raise FileNotFoundError(errno.ENOENT, "the output path is empty", path)
         if os.path.isdir(path) or not os.path.basename(path):
             raise IsADirectoryError(errno.EISDIR, "the output is a directory", path)
-        directory = os.path.dirname(os.path.abspath(path))
+        directory = os.path.dirname(os.path.realpath(path))
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, "no directory for the output file", path)
-        if not (os.access(path, os.W_OK) if os.path.exists(path)
-                else os.access(directory, os.W_OK | os.X_OK)):
+        exists = os.path.exists(path)
+        renamed = not exists or os.path.isfile(path)  # written beside its target, renamed over it
+        if (exists and not os.access(path, os.W_OK)
+                or renamed and not os.access(directory, os.W_OK | os.X_OK)):
             raise PermissionError(errno.EACCES, "no permission to write the output", path)
     seen = {}
     for name, path in (("the game file", game), *outputs.items()):

@@ -17,9 +17,9 @@ of the saddle-point operator, estimated at initialization by Lanczos
 (sparse.spectral_norm) to rounding accuracy.
 
 The certificate. Let P = (u1, w1) be the point where a step's two
-projections are taken, F(u, w) = (K^T w + c_u, c_w - K u) the game's
-operator, skew plus a constant, and d the change of z in a step. The
-projections put (z - T(z)) - lambda F(P) in the normal cone of the
+projections are taken, F(u, w) = (K^T w + (0, e1), (0, e2) - K u) the
+game's operator, skew plus a constant, and d the change of z in a step.
+The projections put (z - T(z)) - lambda F(P) in the normal cone of the
 strategy sets at P, whatever z is. Summed over the k steps of a window
 that starts at z0, with v = z - z0 the sum of the d, this gives for
 every point z* of the sets
@@ -95,7 +95,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceError, InitializationError
-from .sparse import SparseMatrix, _dot, _einsum, build_K, spectral_norm
+from .sparse import _dot, _einsum, build_K, spectral_norm
 from .treeplex import (FeasibilityResiduals, SequenceFormGame, duality_gap,
                        expected_value, feasibility_residuals, normalize_to_polytope)
 
@@ -145,36 +145,34 @@ class Quadruplet(NamedTuple):
 
 @dataclass
 class SolverState:
-    """Mutable iteration state on the stacked operator K.
+    """Mutable iteration state on the game's stacked operator K.
 
     Every stacked vector is ordered z = (u, w) = (y, p, x, q), and
     bounds holds the offsets where p, x and q start. g = K^T w / rho is
-    carried across steps; the division spares step a pass. c = (0, e1,
-    0, e2) is the constant part of the update. rho is step's relaxation
-    factor: RHO, or 1 after solve's fallback. z_sum accumulates every
-    T(z), and E every step's window term (see the module docstring); z0
-    is the window's start, and the property v = z - z0 its displacement.
-    k counts the steps since the last restart, steps all of them.
+    carried across steps; the division spares step a pass. rho is step's
+    relaxation factor: RHO, or 1 after solve's fallback. z_sum
+    accumulates every T(z), and E every step's window term (see the
+    module docstring); z0 is the window's start, and the property v =
+    z - z0 its displacement. k counts the steps since the last restart,
+    steps all of them. The state holds no K: step reads the game's.
 
     __post_init__ copies z, g, z_sum and z0, so every construction, a
-    dataclasses.replace copy or a restart, owns the vectors step moves
-    and leaves the state it came from as it was. It then builds every
-    view of the state, once: y, p, x and q into z, and views, all that
-    step reads and writes: the scalars lam, lam * rho and rho as 0-d
-    arrays, which multiply as a vector operand does with none of a
-    Python float's dispatch, beside whether rho is 1 and the window
-    term's two coefficients; the u half of c over rho and the w half of
-    c; the u and w halves of z; and a scratch buffer whose rows are
+    dataclasses.replace copy or a restart, owns every array it holds and
+    shares none with the state it came from. It then builds every view
+    of the state, once: y, p, x and q into z, and views, all that step
+    reads and writes: the scalars lam, lam * rho and rho as 0-d arrays,
+    which multiply as a vector operand does with none of a Python
+    float's dispatch, beside whether rho is 1, the window term's two
+    coefficients and 1 / rho; the indices n2 of p[0] in u and n1 of q[0]
+    in w; the u and w halves of z; and a scratch buffer whose rows are
     T(z), its change t, which step scales to the change rho * t of z,
     and (lam K^T t^w, 0), with the parts of them step writes. step, and
     _open_window on a state just built, write in place only into those
     arrays, so the views stay valid.
     """
 
-    K: SparseMatrix
     z: np.ndarray
     g: np.ndarray
-    c: np.ndarray
     z_sum: np.ndarray
     z0: np.ndarray
     bounds: tuple[int, int, int]
@@ -190,14 +188,13 @@ class SolverState:
         for name in ("z", "g", "z_sum", "z0"):
             setattr(self, name, getattr(self, name).copy())
         n2, m, end_x = self.bounds
-        n = self.z.size
         rho = self.rho
-        buf = np.zeros((3, n))
+        buf = np.zeros((3, self.z.size))
         z1, t = buf[0], buf[1]
         self.y, self.p, self.x, self.q = self.blocks(self.z)
         scalars = (np.array(self.lam), np.array(self.lam * rho), np.array(rho), rho == 1.0,
-                   rho * (rho / 2 - 1), rho)
-        self.views = (scalars, self.c[:m] / rho, self.c[m:], self.z[:m], self.z[m:],
+                   rho * (rho / 2 - 1), rho, 1 / rho)
+        self.views = (scalars, n2, end_x - m, self.z[:m], self.z[m:],
                       z1, t, z1[:m], z1[m:], z1[:n2], z1[m:end_x], t[:m], t[m:],
                       buf[2, :m], buf[1:3])
 
@@ -271,14 +268,15 @@ class SolveReport:
     fallback_step: Optional[int] = None
 
 
-def _open_window(state: SolverState) -> SolverState:
+def _open_window(state: SolverState, K) -> SolverState:
     """Start state's averaging window at state.z0, in place, and return state.
 
-    z = z0, g = K^T w0 / rho, z_sum = 0 and k = E = 0. init opens the
-    first window at zero in a new state, and _restart each later one in
-    its own copy of the state.
+    z = z0, g = K^T w0 / rho, z_sum = 0 and k = E = 0, with K the
+    game's operator, which the caller passes. init opens the first window
+    at zero in a new state, and _restart each later one in its own copy
+    of the state.
     """
-    K, z0 = state.K, state.z0
+    z0 = state.z0
     state.z[:] = z0
     np.divide(K.transpose_matvec(z0[K.cols:]), state.rho, out=state.g)
     state.z_sum.fill(0.0)
@@ -308,12 +306,11 @@ def init(game: SequenceFormGame) -> SolverState:
     if est.value <= 0.0:
         raise InitializationError("operator norm estimate is not positive")
 
-    c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
-    zero = np.zeros(c.size)
+    zero = np.zeros(K.cols + K.rows)
     return _open_window(SolverState(
-        K=K, z=zero, g=zero[:K.cols], c=c, z_sum=zero, z0=zero,
+        z=zero, g=zero[:K.cols], z_sum=zero, z0=zero,
         bounds=tuple(accumulate((game.n2, game.l1, game.n1))), k=0, E=0.0,
-        lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0))
+        lam=1.0 / est.value, rho=RHO, norm_K=est.value, steps=0), K)
 
 
 # overflow surfaces as the typed divergence error below, not a warning
@@ -321,27 +318,30 @@ def init(game: SequenceFormGame) -> SolverState:
 def step(state: SolverState, game: SequenceFormGame) -> SolverState:
     """Run one iteration in place and return the state.
 
-    With u = (y, p), w = (x, q) and h = K^T w / rho carried as state.g,
-    T(z) = (u2, w1) with
+    With u = (y, p), w = (x, q), K the game's operator and h = K^T w /
+    rho carried as state.g, T(z) = (u2, w1) with
     u1 = u - lam rho (h + (0, e1) / rho) with y clipped at zero,
     w1 = w + lam (K u1 - (0, e2)) with x clipped at zero, and
-    u2 = u1 - lam K^T (w1 - w). z then moves by d = rho t, t = T(z) - z,
-    so h moves by K^T (w1 - w), the correction product's result, with
-    no rho scaling. E gains rho ((rho / 2 - 1) ||t||^2 - <t^u, lam K^T
-    t^w>), the window term of d. T(z), t, lam K^T t^w and d, which is t
-    scaled in place, are built in the state's scratch buffer through
-    state.views; only the two products allocate. At rho = 1, z becomes
-    T(z) itself.
+    u2 = u1 - lam K^T (w1 - w). Validation fixes e1 and e2 to
+    (1, 0, ..., 0), so each constant enters at one entry, p[0] and q[0].
+    z then moves by d = rho t, t = T(z) - z, so h moves by K^T (w1 - w),
+    the correction product's result, with no rho scaling. E gains
+    rho ((rho / 2 - 1) ||t||^2 - <t^u, lam K^T t^w>), the window term of
+    d. T(z), t, lam K^T t^w and d, which is t scaled in place, are built
+    in the state's scratch buffer through state.views; only the two
+    products allocate. At rho = 1, z becomes T(z) itself.
     """
-    K, z = state.K, state.z
-    ((lam, lam_rho, rho, plain, tt_coef, tx_coef), c_u, c_w, u0, w0,
+    K, z = game._K, state.z
+    ((lam, lam_rho, rho, plain, tt_coef, tx_coef, inv_rho), n2, n1, u0, w0,
      z1, t, u1, w1, y1, x1, tu, tw, lam_dg, t_and_lam_dg) = state.views
-    np.add(state.g, c_u, out=u1)
+    # g + (0, e1) / rho: adding the constant's zeros turns -0.0 into +0.0
+    np.add(state.g, _ZERO, out=u1)
+    u1[n2] += inv_rho
     u1 *= lam_rho
     np.subtract(u0, u1, out=u1)
     np.maximum(y1, _ZERO, out=y1)
     Ku = K.matvec(u1)
-    Ku -= c_w
+    Ku[n1] -= 1.0
     Ku *= lam
     np.add(w0, Ku, out=w1)
     del Ku  # so the two products' results are never held at once
@@ -436,15 +436,15 @@ def _restart(state: SolverState, game: SequenceFormGame, rho: float) -> SolverSt
     q as they are; the window argument, and so the certificate, holds
     from any start. The plans are pushed here, before the copy, so that
     their temporaries and the copy are never held at once. The copy is
-    made once, by replace, and _open_window writes the window into it,
-    as init's is written; K and its norm are kept, steps keeps counting,
-    and state is left as it was.
+    made once, by replace, and _open_window writes the window into it
+    with the game's K, as init's is written; the norm is kept, steps
+    keeps counting, and state is left as it was.
     """
     plans = _pushed_average(state, game)
     new = replace(state, rho=rho)
     y, _, x, _ = new.blocks(np.divide(state.z_sum, state.k, out=new.z0))
     x[:], y[:] = plans
-    return _open_window(new)
+    return _open_window(new, game._K)
 
 
 def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -469,10 +469,10 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
 
     A step whose window check fails has residual inf: it is not
     converged and neither sets the reference nor restarts. At the first
-    such step the solve falls back to rho = 1, with a restart, and
-    fallback_step records the step. window_checks holds E / (||v||^2 /
-    2) of each window as it closed: at each restart, at the fallback and
-    at the last step.
+    step whose residual is inf the solve falls back to rho = 1, with a
+    restart, and fallback_step records the step. window_checks holds E /
+    (||v||^2 / 2) of each window as it closed: at each restart, at the
+    fallback and at the last step.
     """
     if config is None:
         config = SolverConfig()
@@ -494,9 +494,8 @@ def solve(game: SequenceFormGame, config: Optional[SolverConfig] = None) -> Solv
             window_checks.append(_window_check(state))
             break
         if res == math.inf:
-            check = _window_check(state)
-            if check > 1.0 and state.rho != 1.0:
-                window_checks.append(check)
+            if state.rho != 1.0:
+                window_checks.append(_window_check(state))
                 state = _restart(state, game, 1.0)
                 fallback_step = state.steps
                 reference = None

@@ -391,24 +391,31 @@ def test_solve_refuses_an_output_in_a_missing_directory_before_solving(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "nodir/out" in err
     assert list(tmp_path.iterdir()) == []
+    # a link into a missing directory: the output is written beside the link's target
+    os.symlink(os.path.join("nodir", "r.json"), "link.json")
+    assert main(["solve", "--builtin", "kuhn", flag, "link.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "no directory for the output file: 'link.json'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
 
 
 @pytest.mark.parametrize("flag", ["--report", "--trace", "--strategies"])
-@pytest.mark.parametrize("denied", ["file", "directory"])
+@pytest.mark.parametrize("denied", ["file", "directory", "directory-of-file"])
 def test_solve_refuses_an_unwritable_output_before_reading_the_game(tmp_path, capsys,
                                                                      monkeypatch, flag, denied):
     # os.access is patched to deny the one target, since a root user passes the real check:
-    # an existing output by its own permission, a missing one by its directory's
+    # an existing output by its own permission and its directory's, a missing one by its
+    # directory's, where the temporary file is written and renamed over the output
     monkeypatch.chdir(tmp_path)
     main(["make-game", "kuhn", "--out", "g.json"])
     (tmp_path / "ro").mkdir()
-    if denied == "file":
+    if denied != "directory":
         (tmp_path / "ro" / "out").write_text("old\n")
-    target = os.path.abspath("ro/out" if denied == "file" else "ro")
+    target = os.path.realpath("ro/out" if denied == "file" else "ro")
     access = os.access
 
     def no_write_to_target(path, mode, **kwargs):
-        if os.path.abspath(path) == target and mode & os.W_OK:
+        if os.path.realpath(path) == target and mode & os.W_OK:
             return False
         return access(path, mode, **kwargs)
 
@@ -423,7 +430,7 @@ def test_solve_refuses_an_unwritable_output_before_reading_the_game(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "no permission to write the output: 'ro/out'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "ro"]
-    if denied == "file":
+    if denied != "directory":
         assert [p.name for p in (tmp_path / "ro").iterdir()] == ["out"]
         assert read(tmp_path / "ro" / "out") == "old\n"
     else:

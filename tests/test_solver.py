@@ -137,7 +137,8 @@ def test_window_identity(kuhn, monkeypatch, rho):
         K = build_K(game).to_dense()
         state = init(game)
         m, n2, n1 = K.shape[1], game.n2, game.n1
-        c_u, c_w, lam = state.c[:m], state.c[m:], state.lam
+        c = np.concatenate([np.zeros(n2), game.e1, np.zeros(n1), game.e2])
+        c_u, c_w, lam = c[:m], c[m:], state.lam
         stars = rng.standard_normal((4, state.z.size))
         lhs = np.zeros(len(stars))
         for _ in range(80):
@@ -363,12 +364,12 @@ def test_norm_and_residual_bits_do_not_depend_on_blas_threads():
             "sys.path.insert(0, sys.argv[1])\n"
             "from conftest import ternary_game\n"
             "from seqform.solver import init, residual, step\n"
-            "from seqform.sparse import spectral_norm\n"
+            "from seqform.sparse import build_K, spectral_norm\n"
             "game = ternary_game(8)\n"
             "state = init(game)\n"
             "for _ in range(100):\n"
             "    step(state, game)\n"
-            "print(repr(spectral_norm(state.K)), repr(residual(state)))\n")
+            "print(repr(spectral_norm(build_K(game))), repr(residual(state)))\n")
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.abspath(seqform.__file__))
     outputs = []
@@ -529,16 +530,18 @@ def test_divergence_raises(kuhn, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_finite_iterate_summing_past_largest_double_does_not_raise(trivial_game, plain_rho):
-    # step checks the sum of z first; finite entries whose sum overflows
-    # fall through to the entrywise check and are not a divergence
+    # step checks the window term e first; a finite iterate whose inner products
+    # overflow makes e NaN, which falls through to the entrywise check and is
+    # not a divergence, and the window has no certificate
     import seqform.solver as solver_module
 
     state = init(trivial_game)
     state.z0[:] = [0.0, -1.5e308, 0.0, 1e308]
-    solver_module._open_window(state)
+    solver_module._open_window(state, build_K(trivial_game))
     step(state, trivial_game)
     assert state.z.tolist() == [0.0, 0.0, 1.5e308, 1e308]
     assert sum(state.z.tolist()) == math.inf
+    assert residual(state) == math.inf
 
 
 def test_kuhn_converges_to_known_value(kuhn):
@@ -709,7 +712,7 @@ def test_restart_builds_the_window_init_builds(kuhn):
     state = init(game)
     for _ in range(20):
         step(state, game)
-    K, lam, norm_K, rho = state.K, state.lam, state.norm_K, state.rho
+    K, lam, norm_K, rho = build_K(game), state.lam, state.norm_K, state.rho
     avg = ergodic_average(state)
     start = np.concatenate([normalize_to_polytope(game.index2, avg.y), avg.p,
                             normalize_to_polytope(game.index1, avg.x), avg.q])
@@ -721,7 +724,7 @@ def test_restart_builds_the_window_init_builds(kuhn):
     for name in ("v", "z_sum"):
         assert same_bits(getattr(state, name), np.zeros(start.size)), name
     assert state.k == 0 and state.E == 0.0
-    assert state.K is K and (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
+    assert (state.lam, state.norm_K, state.steps) == (lam, norm_K, 20)
     assert state.rho == rho == solver_module.RHO
 
 
@@ -762,12 +765,13 @@ def test_a_trace_point_makes_at_most_five_products_all_on_K(kuhn, monkeypatch):
         monkeypatch.setattr(SparseMatrix, name, counted)
     solver_module._trace_point(state, game, residual(state))
     assert 0 < len(products) <= 5
-    assert all(m is state.K for m in products)
+    assert all(m is build_K(game) for m in products)
 
 
 def concatenate_step(state, game):
     """The step as first written, a new array for every intermediate and z1 by concatenation."""
-    K, lam, z, c = state.K, state.lam, state.z, state.c
+    K, lam, z = build_K(game), state.lam, state.z
+    c = np.concatenate([np.zeros(game.n2), game.e1, np.zeros(game.n1), game.e2])
     m = K.cols
     u0, w0 = z[:m], z[m:]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -910,6 +914,26 @@ def test_the_fallback_opens_a_plain_window(kuhn, monkeypatch):
     assert len(estimates) == 1
 
 
+def test_a_window_whose_energy_is_nan_falls_back(kuhn, monkeypatch):
+    # residual alone decides the fallback: E = NaN makes it inf, though the
+    # window check E / (||v||^2 / 2) then reads NaN, not above 1
+    import seqform.solver as solver_module
+
+    plain_step = solver_module.step
+
+    def nan_after_five(state, game):
+        plain_step(state, game)
+        if state.steps == 5:
+            state.E = math.nan
+        return state
+
+    monkeypatch.setattr(solver_module, "step", nan_after_five)
+    report = solve(kuhn[1], SolverConfig(epsilon=1e-4, max_iter=400))
+    assert report.fallback_step == 5
+    assert math.isnan(report.window_checks[0])
+    assert report.converged
+
+
 @pytest.mark.parametrize("to_plain", [False, True])
 def test_a_restart_leaves_the_state_it_came_from_as_it_was(kuhn, to_plain):
     import seqform.solver as solver_module
@@ -928,8 +952,10 @@ def test_a_restart_leaves_the_state_it_came_from_as_it_was(kuhn, to_plain):
     for name in names:
         assert same_bits(getattr(state, name), before[name]), name
     assert (state.k, state.E, state.steps) == counters
-    # the vectors step moves and the scratch buffer are the restart's own;
-    # only K and the constant c are shared, and neither is ever written
-    moved = [getattr(restarted, name) for name in names] + [restarted.views[5].base]
-    kept = [getattr(state, name) for name in names] + [state.views[5].base]
-    assert not any(np.shares_memory(a, b) for a in moved for b in kept)
+    # no array is shared: the vectors step moves, the scratch buffer and the
+    # scalars are the restart's own
+    def arrays(s):
+        held = (*vars(s).values(), *s.views, *s.views[0], s.views[5].base)
+        return [a for a in held if isinstance(a, np.ndarray)]
+
+    assert not any(np.shares_memory(a, b) for a in arrays(restarted) for b in arrays(state))

@@ -266,7 +266,8 @@ def test_a_solve_multiplies_only_K():
 
 def test_each_game_assembles_K_once():
     for game in (to_sequence_form(kuhn_poker())[0], ternary_game(3)):
-        assert build_K(game) is build_K(game) is init(game).K
+        assert build_K(game) is build_K(game)
+        assert not hasattr(init(game), "K")
 
 
 def test_dense_layout_is_read_only():
